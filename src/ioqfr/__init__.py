@@ -46,7 +46,6 @@ from .lindblad import (
     model_fingerprint,
     prepare,
     project_traceless,
-    resolvent_apply,
     steady_state,
     tangent_signal,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "StationaryState",
     "project_traceless",
     "Resolvent",
-    "resolvent_apply",
     "model_fingerprint",
     "homodyne_spectrum",
     "matrix_spectrum",

@@ -206,7 +206,7 @@ class BoundReport:
 
     ``passed[i]`` is True iff margin_min[i] >= -bound_margin and J stays on
     the activity support; ``directional_min`` is the worst normalized
-    directional margin over supplied, random, and worst-eigenvector
+    directional margin over seeded random and worst-eigenvector
     directions (matrix and directional verdicts agree by construction).
     """
 
@@ -227,11 +227,12 @@ class BoundReport:
         return bool(np.all(self.passed))
 
 
+_N_RANDOM_DIRECTIONS = 8
+
+
 def certify_bound(model_or_system: LindbladModel | System,
                   omegas: Sequence[float],
                   tol: ToleranceSet = DEFAULT_TOL,
-                  directions: Sequence[np.ndarray] | None = None,
-                  n_random_directions: int = 8,
                   seed: int = 20260814) -> BoundReport:
     """Certify J(omega) <= A kron I_2 over a frequency grid.
 
@@ -258,8 +259,7 @@ def certify_bound(model_or_system: LindbladModel | System,
     normalizer = numkit.psd_inv_sqrt(a_real, tol.pinv_rel)
     dim = a_real.shape[0]
     rng = np.random.default_rng(seed)
-    fixed_dirs = [np.asarray(v, dtype=float) for v in (directions or [])]
-    fixed_dirs += [rng.standard_normal(dim) for _ in range(n_random_directions)]
+    random_dirs = [rng.standard_normal(dim) for _ in range(_N_RANDOM_DIRECTIONS)]
 
     omegas = np.asarray(list(omegas), dtype=float)
     points = [evaluate_point(system, activity, normalizer, w, tol) for w in omegas]
@@ -268,7 +268,7 @@ def certify_bound(model_or_system: LindbladModel | System,
     for i, pt in enumerate(points):
         margin = a_real - pt.j_matrix
         eigvals, eigvecs = np.linalg.eigh(margin)
-        dirs = fixed_dirs + [eigvecs[:, 0]]
+        dirs = random_dirs + [eigvecs[:, 0]]
         directional_min[i] = min(
             float(v @ margin @ v) / float(v @ v) for v in dirs)
 
@@ -289,7 +289,7 @@ def certify_bound(model_or_system: LindbladModel | System,
         j_matrices=tuple(pt.j_matrix for pt in points),
         metadata={
             "model_hash": model_fingerprint(model),
-            "n_random_directions": n_random_directions,
+            "n_random_directions": _N_RANDOM_DIRECTIONS,
             "seed": seed,
             "tolerances": {
                 "bound_margin": tol.bound_margin,

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,37 +32,16 @@ from .errors import ConfigError, IoqfrError
 from .hilbert import annihilation, dagger
 from .lindblad import (
     LindbladModel,
-    System,
     as_system,
     kinetic_signal,
     model_fingerprint,
     tangent_signal,
 )
-from .models import (
-    REGISTRY,
-    CavityParams,
-    KerrCatParams,
-    RfParams,
-    classical_jump_model,
-    kerr_cat_model,
-    rf_model,
-)
+from .models import REGISTRY, classical_jump_model
 from .numkit import DEFAULT_TOL, ToleranceSet, psd_inv_sqrt
 from .verify import SUITES, run_suites
 
 __all__ = ["main", "build_parser"]
-
-_PARAM_CLASSES = {
-    "rf": RfParams,
-    "kerr_cat": KerrCatParams,
-    "cavity": CavityParams,
-}
-_PARAM_ALIASES = {
-    "rf": {"Omega": "rabi"},
-    "kerr_cat": {"K": "kerr", "Delta": "detuning", "p": "two_photon", "F": "bias"},
-    "cavity": {"Delta": "delta"},
-}
-_DEFAULT_THETA = {"rf": np.pi / 2, "kerr_cat": 0.0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,6 +64,22 @@ def _parse_pairs(pairs: Sequence[str], what: str) -> dict[str, str]:
     return out
 
 
+def _number(value: Any, what: str, integer: bool = False) -> float | int:
+    """A finite float (or int) from a JSON number or a command-line string.
+    JSON booleans and non-integral values for integer fields are rejected."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{what}={value!r} is not a number")
+    try:
+        number = int(value) if integer else float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{what}={value!r} is not a number") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{what}={value!r} is not finite")
+    if integer and not isinstance(value, str) and number != value:
+        raise ConfigError(f"{what}={value!r} is not an integer")
+    return number
+
+
 def _parse_tol(pairs: Sequence[str]) -> ToleranceSet:
     raw = _parse_pairs(pairs, "--tol")
     known = {f.name for f in dataclasses.fields(ToleranceSet)}
@@ -99,9 +96,9 @@ def _parse_tol(pairs: Sequence[str]) -> ToleranceSet:
 
 
 def _parse_params(name: str, pairs: Sequence[str], base: dict | None = None) -> Any:
-    cls = _PARAM_CLASSES[name]
+    cls = REGISTRY[name].params
     fields = {f.name: f for f in dataclasses.fields(cls)}
-    aliases = _PARAM_ALIASES[name]
+    aliases = REGISTRY[name].aliases
     merged: dict[str, Any] = {}
     if base is not None and not isinstance(base, dict):
         raise ConfigError(f"model {name!r}: params must be an object")
@@ -114,13 +111,8 @@ def _parse_params(name: str, pairs: Sequence[str], base: dict | None = None) -> 
                 f"model {name!r} has no parameter {key!r}; known: "
                 + ", ".join(sorted(set(fields) | set(aliases))))
         merged[canonical] = value
-    converted = {}
-    for key, value in merged.items():
-        caster = int if fields[key].type == "int" else float
-        try:
-            converted[key] = caster(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"parameter {key}={value!r} is not a number") from None
+    converted = {key: _number(value, f"parameter {key}", fields[key].type == "int")
+                 for key, value in merged.items()}
     try:
         return cls(**converted)
     except (IoqfrError, ValueError) as err:
@@ -145,8 +137,8 @@ def _operator_from_entries(entries: Any, dim: int, what: str) -> np.ndarray:
                 and 0 <= row < dim and 0 <= col < dim):
             raise ConfigError(f"{what}[{k}]: indices ({row}, {col}) outside "
                               f"dimension {dim}")
-        op[row, col] += complex(float(entry.get("re", 0.0)),
-                                float(entry.get("im", 0.0)))
+        op[row, col] += complex(_number(entry.get("re", 0.0), f"{what}[{k}].re"),
+                                _number(entry.get("im", 0.0), f"{what}[{k}].im"))
     return op
 
 
@@ -209,7 +201,8 @@ def _custom_model(config: dict, path: str) -> LindbladModel:
                 or not isinstance(item[0], int)):
             raise ConfigError(f"config {path}: monitored[{k}] must be "
                               "[channel_index, theta]")
-        monitored.append((item[0], float(item[1])))
+        monitored.append((item[0], _number(
+            item[1], f"config {path}: monitored[{k}] theta")))
     signal = None
     if config.get("signal") is not None:
         signal = _signal_from_config(config["signal"], dim, len(channels))
@@ -222,32 +215,35 @@ def _custom_model(config: dict, path: str) -> LindbladModel:
 
 @dataclasses.dataclass
 class ModelSpec:
-    """Resolved --model: either an analytic cavity or a LindbladModel
-    factory indexed by monitored phase."""
+    """Resolved --model: a registry family with its parameters and requested
+    monitored phases, or a model fixed by a JSON config."""
 
     name: str
-    cavity: CavityParams | None = None
     params: Any = None
     fixed: LindbladModel | None = None
     thetas: tuple[float, ...] = ()
 
-    def model(self, theta: float | None = None) -> LindbladModel:
+    def model(self, command: str) -> LindbladModel:
+        """The Lindblad model, monitored at the first requested phase (the
+        registry default when none was requested)."""
         if self.fixed is not None:
             return self.fixed
-        if self.name == "rf":
-            return rf_model(self.params, _DEFAULT_THETA["rf"] if theta is None
-                            else theta)
-        if self.name == "kerr_cat":
-            return kerr_cat_model(self.params,
-                                  _DEFAULT_THETA["kerr_cat"] if theta is None
-                                  else theta)
-        raise ConfigError(f"model {self.name!r} cannot be instantiated")
+        build = REGISTRY[self.name].build
+        if build is None:
+            raise ConfigError(f"the {self.name} model is analytic-only; {command} "
+                              "applies to Lindblad models (try bound-report)")
+        return build(self.params, self.thetas[0] if self.thetas else None)
+
+
+def _phased() -> str:
+    """The registry models whose monitored phase --theta sets."""
+    return " and ".join(n for n, e in REGISTRY.items() if e.build is not None)
 
 
 def _resolve_model(args: argparse.Namespace) -> ModelSpec:
     name = args.model
     params = list(args.param or [])
-    thetas = tuple(float(t) for t in (args.theta or []))
+    thetas = tuple(_number(t, "--theta") for t in (args.theta or ()))
     if name in REGISTRY:
         config: dict = {}
     elif name.endswith(".json") or os.path.sep in name or os.path.exists(name):
@@ -261,27 +257,25 @@ def _resolve_model(args: argparse.Namespace) -> ModelSpec:
             raw = config["theta"]
             if not isinstance(raw, list):
                 raise ConfigError(f"config {name}: theta must be a list")
-            thetas = tuple(float(t) for t in raw)
+            thetas = tuple(_number(t, f"config {name}: theta item")
+                           for t in raw)
         name, path = declared, name
     else:
         raise ConfigError(
             f"unknown model {name!r}: not a registry name "
             f"({', '.join(REGISTRY)}) and no such config file")
 
-    if name == "cavity":
-        if thetas:
-            raise ConfigError("the cavity model has no monitored phase to set")
-        return ModelSpec(name=name, cavity=_parse_params(
-            "cavity", params, config.get("params")))
-    if name in ("rf", "kerr_cat"):
-        spec_params = _parse_params(name, params, config.get("params"))
-        return ModelSpec(name=name, params=spec_params,
-                         thetas=thetas or (_DEFAULT_THETA[name],))
+    entry = REGISTRY[name]
+    if entry.params is not None:
+        if thetas and entry.build is None:
+            raise ConfigError(f"the {name} model has no monitored phase to set")
+        return ModelSpec(name=name, thetas=thetas,
+                         params=_parse_params(name, params, config.get("params")))
     if params:
         raise ConfigError(f"model {name!r} takes a JSON config, not --param")
     if thetas:
         raise ConfigError(f"model {name!r} fixes its monitored currents in "
-                          "the config; --theta only applies to rf and kerr_cat")
+                          f"the config; --theta only applies to {_phased()}")
     if name == "classical_jump":
         if not config:
             raise ConfigError("classical_jump needs a JSON config with rates "
@@ -327,10 +321,7 @@ def _fmt(x: float) -> str:
 def _cmd_steady(args: argparse.Namespace) -> int:
     tol = _parse_tol(args.tol or [])
     spec = _resolve_model(args)
-    if spec.name == "cavity":
-        raise ConfigError("the cavity model is analytic-only; steady applies "
-                          "to Lindblad models (try bound-report)")
-    model = spec.model(spec.thetas[0] if spec.thetas else None)
+    model = spec.model("steady")
     system = as_system(model, tol)
     rho = system.rho
     report: dict[str, Any] = {
@@ -398,10 +389,7 @@ def _point_columns(pt, m: int, n_par: int) -> list[tuple[str, str]]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     tol = _parse_tol(args.tol or [])
     spec = _resolve_model(args)
-    if spec.name == "cavity":
-        raise ConfigError("the cavity model is analytic-only; sweep applies "
-                          "to Lindblad models (try bound-report)")
-    base_model = spec.model(spec.thetas[0] if spec.thetas else None)
+    base_model = spec.model("sweep")
     if not base_model.monitored:
         raise ConfigError(f"model {spec.name!r} has no monitored currents; "
                           "sweep needs at least one")
@@ -437,21 +425,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     header = rows[0][0]
     if args.json:
-        _emit_json({"columns": header,
-                    "rows": [[v for v in values] for _, values in rows]},
+        _emit_json({"columns": header, "rows": [values for _, values in rows]},
                    args.out)
         return 0
-    if args.out is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        for _, values in rows:
-            writer.writerow(values)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for _, values in rows:
-                writer.writerow(values)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(values for _, values in rows)
+    _emit_text(text.getvalue(), args.out)
     return 0
 
 
@@ -460,7 +441,7 @@ def _cmd_bound_report(args: argparse.Namespace) -> int:
     spec = _resolve_model(args)
     omegas = _sweep_grid(args)
     if spec.name == "cavity":
-        report = coherent_ceiling_check(spec.cavity, omegas)
+        report = coherent_ceiling_check(spec.params, omegas)
         _emit_json({
             "model": "cavity",
             "kind": "coherent_ceiling",
@@ -472,7 +453,7 @@ def _cmd_bound_report(args: argparse.Namespace) -> int:
             "passed": report.passed,
         }, args.out)
         return 0 if report.passed else 2
-    model = spec.model(spec.thetas[0] if spec.thetas else None)
+    model = spec.model("bound-report")
     if not model.monitored:
         raise ConfigError(f"model {spec.name!r} has no monitored currents; "
                           "the bound needs at least one")
@@ -526,18 +507,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _param_help() -> str:
+    groups = []
+    for name, entry in REGISTRY.items():
+        if entry.params is None:
+            continue
+        alias_of = {field: alias for alias, field in entry.aliases.items()}
+        names = [f.name + (f"/{alias_of[f.name]}" if f.name in alias_of else "")
+                 for f in dataclasses.fields(entry.params)]
+        groups.append(f"{name}: {', '.join(names)}")
+    return "model parameter override, repeatable (" + "; ".join(groups) + ")"
+
+
 def _add_model_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--model", default="rf",
                      help="registry name (%s) or path to a JSON model config"
                      % ", ".join(REGISTRY))
     sub.add_argument("--param", action="append", metavar="NAME=VALUE",
-                     help="model parameter override, repeatable "
-                     "(rf: kappa, rabi/Omega; kerr_cat: n_cut, kerr/K, "
-                     "detuning/Delta, two_photon/p, bias/F, kappa_ex, "
-                     "kappa_in; cavity: kappa, delta/Delta)")
+                     help=_param_help())
     sub.add_argument("--theta", action="append", type=float, metavar="RAD",
                      help="monitored quadrature phase, repeatable for "
-                     "per-phase column groups (rf and kerr_cat only)")
+                     f"per-phase column groups ({_phased()} only)")
     sub.add_argument("--tol", action="append", metavar="NAME=VALUE",
                      help="tolerance override, repeatable")
     sub.add_argument("--out", default=None, help="output path (default stdout)")

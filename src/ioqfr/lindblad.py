@@ -36,7 +36,6 @@ __all__ = [
     "left_mult",
     "right_mult",
     "trace_vector",
-    "apply_superop",
     "dissipator",
     "SignalSpec",
     "kinetic_signal",
@@ -48,7 +47,6 @@ __all__ = [
     "steady_state",
     "project_traceless",
     "Resolvent",
-    "resolvent_apply",
     "System",
     "prepare",
     "as_system",
@@ -90,10 +88,6 @@ def right_mult(b: np.ndarray) -> np.ndarray:
 def trace_vector(dim: int) -> np.ndarray:
     """Row vector t with t @ vec(X) = Tr X."""
     return vec(np.eye(dim)).conj()
-
-
-def apply_superop(superop: np.ndarray, operator: np.ndarray) -> np.ndarray:
-    return unvec(np.asarray(superop, dtype=complex) @ vec(operator))
 
 
 def dissipator(coupling: np.ndarray) -> np.ndarray:
@@ -322,7 +316,7 @@ def steady_state(generator: np.ndarray,
     if generator.ndim != 2 or generator.shape != (d2, d2) or d * d != d2:
         raise DimMismatch(f"generator shape {generator.shape} is not (d^2, d^2)")
 
-    eigres = numkit.eig(generator, compute_vectors=True, tol=tol)
+    eigres = numkit.eig(generator)
     values = eigres.values
     scale = float(np.max(np.abs(values))) if values.size else 0.0
     gap_tol = tol.gap_rel * scale
@@ -354,7 +348,7 @@ def steady_state(generator: np.ndarray,
     m[0, :] = t
     rhs = np.zeros(d2, dtype=complex)
     rhs[0] = 1.0
-    factor = numkit.factorize(m, tol)
+    factor = numkit.LUFactor(m, tol)
     x = factor.solve(rhs)
     x = x + factor.solve(rhs - m @ x)  # one refinement step
     rho = numkit.hermitize(unvec(x))
@@ -428,7 +422,7 @@ class Resolvent:
         else:
             m = -1j * self.omega * np.eye(d2) - generator
         try:
-            self._factor = numkit.factorize(m, tol)
+            self._factor = numkit.LUFactor(m, tol)
         except SingularMatrix as err:
             raise SingularMatrix(f"resolvent at omega={self.omega!r}: {err}") from err
 
@@ -455,13 +449,6 @@ class Resolvent:
         if self.omega == 0.0:
             solved = solved - np.outer(self._rho_vec, self._trace_vec @ solved)
         return [unvec(solved[:, k]) for k in range(solved.shape[1])]
-
-
-def resolvent_apply(generator: np.ndarray, omega: float, source: np.ndarray,
-                    rho_ss: np.ndarray | None = None,
-                    tol: ToleranceSet = DEFAULT_TOL) -> np.ndarray:
-    """One-shot resolvent application; see :class:`Resolvent`."""
-    return Resolvent(generator, omega, rho_ss=rho_ss, tol=tol).apply(source)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,14 @@ Four physical settings, in increasing dimension:
   the two loss rates are the modulated signals.
 * ``classical_jump``: classical jump process embedded as a dephasing-free
   Lindblad model, one jump operator per directed transition.
+
+``REGISTRY`` is the one table of model names the CLI and JSON configs
+accept; adding a model means adding one entry there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -30,6 +34,7 @@ from .lindblad import LindbladModel, kinetic_signal
 from .numkit import DEFAULT_TOL, ToleranceSet
 
 __all__ = [
+    "ModelEntry",
     "REGISTRY",
     "CavityParams",
     "cavity_scattering",
@@ -44,10 +49,6 @@ __all__ = [
     "classical_stationary",
     "classical_jump_model",
 ]
-
-# names accepted by the CLI config schema
-REGISTRY = ("cavity", "rf", "kerr_cat", "classical_jump", "custom")
-
 
 # ---------------------------------------------------------------------------
 # driven cavity (analytic only)
@@ -135,15 +136,16 @@ def rf_closed_forms(params: RfParams, omega: float) -> RfClosedForms:
     )
 
 
-def rf_model(params: RfParams, theta: float = np.pi / 2) -> LindbladModel:
+def rf_model(params: RfParams, theta: float | None = None) -> LindbladModel:
     """Driven emitter: H = (rabi/2) sigma_x, one decay channel sqrt(kappa)
-    sigma_minus, monitored at phase theta, kinetic rate modulation."""
+    sigma_minus, monitored at phase theta (default: the registry phase
+    pi/2), kinetic rate modulation."""
     h = 0.5 * params.rabi * pauli("x")
     coupling = np.sqrt(params.kappa) * pauli("minus")
     return LindbladModel(
         hamiltonian=h,
         channels=(coupling,),
-        monitored=((0, float(theta)),),
+        monitored=((0, REGISTRY["rf"].phase(theta)),),
         signal=kinetic_signal(np.array([[1.0]])),
     )
 
@@ -173,10 +175,11 @@ class KerrCatParams:
             raise ValueError("at least one loss rate must be positive")
 
 
-def kerr_cat_model(params: KerrCatParams, theta: float = 0.0) -> LindbladModel:
-    """Two loss channels sqrt(kappa_ex) a (monitored) and sqrt(kappa_in) a
-    (unmonitored); the signals are independent kinetic modulations of the
-    two rates."""
+def kerr_cat_model(params: KerrCatParams,
+                   theta: float | None = None) -> LindbladModel:
+    """Two loss channels sqrt(kappa_ex) a (monitored at phase theta, by
+    default the registry phase 0) and sqrt(kappa_in) a (unmonitored); the
+    signals are independent kinetic modulations of the two rates."""
     a = annihilation(params.n_cut)
     ad = dagger(a)
     h = (-params.detuning * (ad @ a)
@@ -187,7 +190,7 @@ def kerr_cat_model(params: KerrCatParams, theta: float = 0.0) -> LindbladModel:
     return LindbladModel(
         hamiltonian=h,
         channels=channels,
-        monitored=((0, float(theta)),),
+        monitored=((0, REGISTRY["kerr_cat"].phase(theta)),),
         signal=kinetic_signal(np.eye(2)),
     )
 
@@ -222,7 +225,7 @@ def classical_stationary(rates: np.ndarray,
     m[0, :] = 1.0
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    p = np.real(numkit.solve(m.astype(complex), rhs.astype(complex), tol))
+    p = np.real(numkit.LUFactor(m, tol).solve(rhs))
     if np.min(p) < -tol.psd:
         raise ValueError(f"stationary distribution has negative weight {np.min(p):.3e}")
     return p / p.sum()
@@ -253,3 +256,36 @@ def classical_jump_model(rates: np.ndarray, weights: np.ndarray) -> LindbladMode
         monitored=(),
         signal=kinetic_signal(np.array(coefficients)),
     )
+
+
+# ---------------------------------------------------------------------------
+# registry
+
+@dataclass(frozen=True)
+class ModelEntry:
+    """One model family: its parameter dataclass and the short parameter
+    aliases the CLI accepts, and, for families with a Lindblad builder, the
+    builder and its default monitored phase. Families defined by a JSON
+    config alone leave every field empty."""
+
+    params: type | None = None
+    aliases: dict[str, str] = field(default_factory=dict)
+    build: Callable[[Any, float | None], LindbladModel] | None = None
+    theta: float | None = None
+
+    def phase(self, theta: float | None) -> float:
+        """The monitored phase: ``theta`` if given, else the default."""
+        return float(self.theta if theta is None else theta)
+
+
+# model names accepted by the CLI and the JSON config schema, in help order
+REGISTRY: dict[str, ModelEntry] = {
+    "cavity": ModelEntry(CavityParams, {"Delta": "delta"}),
+    "rf": ModelEntry(RfParams, {"Omega": "rabi"}, rf_model, np.pi / 2),
+    "kerr_cat": ModelEntry(
+        KerrCatParams,
+        {"K": "kerr", "Delta": "detuning", "p": "two_photon", "F": "bias"},
+        kerr_cat_model, 0.0),
+    "classical_jump": ModelEntry(),
+    "custom": ModelEntry(),
+}

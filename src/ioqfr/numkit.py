@@ -22,8 +22,6 @@ __all__ = [
     "DEFAULT_TOL",
     "EigenResult",
     "LUFactor",
-    "factorize",
-    "solve",
     "eig",
     "pinv",
     "psd_inv_sqrt",
@@ -114,41 +112,24 @@ class LUFactor:
         return x
 
 
-def factorize(a: np.ndarray, tol: ToleranceSet = DEFAULT_TOL) -> LUFactor:
-    return LUFactor(a, tol)
-
-
-def solve(a: np.ndarray, b: np.ndarray, tol: ToleranceSet = DEFAULT_TOL) -> np.ndarray:
-    """Solve a x = b with conditioning and residual gates."""
-    return LUFactor(a, tol).solve(b)
-
-
 @dataclass(frozen=True)
 class EigenResult:
     """Eigenvalues (sorted by descending real part, then imaginary part)
-    and, optionally, the matching right eigenvectors as columns."""
+    and the matching right eigenvectors as columns."""
 
     values: np.ndarray
-    vectors: np.ndarray | None = None
+    vectors: np.ndarray
 
 
-def eig(a: np.ndarray, compute_vectors: bool = True,
-        tol: ToleranceSet = DEFAULT_TOL) -> EigenResult:
+def eig(a: np.ndarray) -> EigenResult:
     """Dense nonsymmetric eigendecomposition with deterministic ordering."""
     a = _as_square_complex(a)
     try:
-        if compute_vectors:
-            values, vectors = np.linalg.eig(a)
-        else:
-            values = np.linalg.eigvals(a)
-            vectors = None
+        values, vectors = np.linalg.eig(a)
     except np.linalg.LinAlgError as err:
         raise ConvergenceFailure(f"eigensolver did not converge: {err}") from err
     order = np.lexsort((-values.imag, -values.real))
-    values = values[order]
-    if vectors is not None:
-        vectors = vectors[:, order]
-    return EigenResult(values=values, vectors=vectors)
+    return EigenResult(values=values[order], vectors=vectors[:, order])
 
 
 def pinv(a: np.ndarray, rel_tol: float = DEFAULT_TOL.pinv_rel) -> np.ndarray:

@@ -122,20 +122,6 @@ def direct_response(model_or_system: LindbladModel | System, current: int, q: in
     return float(np.trace(xdot @ system.rho).real)
 
 
-def complex_response(model_or_system: LindbladModel | System, current: int, q: int,
-                     omega: float, tol: ToleranceSet | None = None,
-                     resolvent: Resolvent | None = None) -> complex:
-    """Complex response of monitored current ``current`` to signal ``q``."""
-    system = as_system(model_or_system, tol)
-    model = system.model
-    mu, theta = model.monitored[current]
-    x = quadrature(model.channels[mu], theta)
-    source = perturbation_state(model, q, system.rho)
-    res = resolvent if resolvent is not None else system.resolvent(omega)
-    shifted = res.apply(source)
-    return complex(np.trace(x @ shifted)) + direct_response(system, current, q)
-
-
 @dataclass(frozen=True)
 class ResponseMatrix:
     """Complex (m, n_params) response and its real (2m, 2 n_params)
@@ -169,3 +155,11 @@ def response_matrix(model_or_system: LindbladModel | System, omega: float,
     rmat = real_embedding(cmat)
     rmat.setflags(write=False)
     return ResponseMatrix(omega=float(omega), complex_matrix=cmat, real_matrix=rmat)
+
+
+def complex_response(model_or_system: LindbladModel | System, current: int, q: int,
+                     omega: float, tol: ToleranceSet | None = None) -> complex:
+    """Complex response of monitored current ``current`` to signal ``q``:
+    one entry of :func:`response_matrix`."""
+    return complex(response_matrix(model_or_system, omega, tol)
+                   .complex_matrix[current, q])

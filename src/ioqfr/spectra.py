@@ -29,27 +29,17 @@ from .lindblad import (
     Resolvent,
     System,
     as_system,
-    left_mult,
     project_traceless,
-    right_mult,
 )
 from .numkit import ToleranceSet, hermitize
 from .response import real_embedding
 
 __all__ = [
-    "current_insertion",
     "insertion_state",
     "homodyne_spectrum",
     "NoiseMatrix",
     "matrix_spectrum",
 ]
-
-
-def current_insertion(coupling: np.ndarray, theta: float) -> np.ndarray:
-    """Superoperator matrix of B_theta; annihilates traces against X_theta."""
-    coupling = np.asarray(coupling, dtype=complex)
-    phase = np.exp(-1j * theta)
-    return phase * left_mult(coupling) + np.conj(phase) * right_mult(coupling.conj().T)
 
 
 def insertion_state(coupling: np.ndarray, theta: float, rho: np.ndarray) -> np.ndarray:
@@ -58,41 +48,6 @@ def insertion_state(coupling: np.ndarray, theta: float, rho: np.ndarray) -> np.n
     rho = np.asarray(rho, dtype=complex)
     phase = np.exp(-1j * theta)
     return phase * (coupling @ rho) + np.conj(phase) * (rho @ coupling.conj().T)
-
-
-def _resolvent_pair(system: System, omega: float,
-                    resolvents: tuple[Resolvent, Resolvent] | None
-                    ) -> tuple[Resolvent, Resolvent]:
-    if resolvents is not None:
-        return resolvents
-    return system.resolvent(omega), system.resolvent(-omega)
-
-
-def homodyne_spectrum(model_or_system: LindbladModel | System, channel: int,
-                      theta: float, omega: float,
-                      tol: ToleranceSet | None = None,
-                      resolvents: tuple[Resolvent, Resolvent] | None = None
-                      ) -> float:
-    """Output spectrum of one homodyne current, shot noise normalized to 1.
-
-    The two one-sided terms are evaluated separately and their sum asserted
-    real within tolerance rather than silently truncated.
-    """
-    system = as_system(model_or_system, tol)
-    tolerances = tol if tol is not None else system.tol
-    model = system.model
-    if channel not in model.monitored_channels:
-        raise ValueError(f"channel {channel} is not monitored")
-    coupling = model.channels[channel]
-    x = quadrature(coupling, theta)
-    source = project_traceless(insertion_state(coupling, theta, system.rho), system.rho)
-    res_plus, res_minus = _resolvent_pair(system, omega, resolvents)
-    value = 1.0 + np.trace(x @ res_plus.apply(source)) \
-                + np.trace(x @ res_minus.apply(source))
-    if abs(value.imag) > tolerances.imag_residue * max(1.0, abs(value)):
-        raise NumericalError(
-            f"spectrum at omega={omega!r} has imaginary residue {value.imag:.3e}")
-    return float(value.real)
 
 
 @dataclass(frozen=True)
@@ -127,7 +82,8 @@ def matrix_spectrum(model_or_system: LindbladModel | System, omega: float,
                           system.rho)
         for mu, th in model.monitored
     ]
-    res_plus, res_minus = _resolvent_pair(system, omega, resolvents)
+    res_plus, res_minus = resolvents if resolvents is not None \
+        else (system.resolvent(omega), system.resolvent(-omega))
     fwd = res_plus.apply_many(sources)
     bwd = res_minus.apply_many(sources)
     raw = np.empty((m, m), dtype=complex)
@@ -148,3 +104,16 @@ def matrix_spectrum(model_or_system: LindbladModel | System, omega: float,
     rmat = real_embedding(cmat)
     rmat.setflags(write=False)
     return NoiseMatrix(omega=float(omega), complex_matrix=cmat, real_matrix=rmat)
+
+
+def homodyne_spectrum(model_or_system: LindbladModel | System, channel: int,
+                      theta: float, omega: float,
+                      tol: ToleranceSet | None = None) -> float:
+    """Output spectrum of one homodyne current, shot noise normalized to 1:
+    the (0, 0) entry of :func:`matrix_spectrum` with only that current
+    monitored. The channel must be one the model already monitors."""
+    system = as_system(model_or_system, tol)
+    if channel not in system.model.monitored_channels:
+        raise ValueError(f"channel {channel} is not monitored")
+    single = system.with_monitored([(channel, theta)])
+    return float(matrix_spectrum(single, omega, tol).complex_matrix[0, 0].real)

@@ -74,6 +74,17 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert b"\r" not in paths[0].read_bytes()
 
 
+def test_sweep_thread_pool_same_bytes(monkeypatch, capsys):
+    argv = ("sweep", "--model", "kerr_cat", "--n", "7")
+    monkeypatch.delenv("IOQFR_THREADS", raising=False)
+    code, serial, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("IOQFR_THREADS", "2")
+    code, pooled, _ = run(capsys, *argv)
+    assert code == 0
+    assert pooled == serial
+
+
 def test_sweep_multi_theta_header(capsys):
     code, out, _ = run(capsys, "sweep", "--model", "rf", "--n", "2",
                        "--wmax", "1", "--theta", "0.3", "--theta", "0.9")
@@ -134,9 +145,30 @@ def test_bound_report_cavity(capsys):
     np.testing.assert_allclose(report["ratios"], 4.0, atol=1e-12)
 
 
+def _custom_qubit(**overrides) -> dict:
+    config = {
+        "model": "custom", "dim": 2,
+        "hamiltonian": [{"row": 0, "col": 1, "re": 0.5},
+                        {"row": 1, "col": 0, "re": 0.5}],
+        "channels": [[{"row": 1, "col": 0, "re": 1.0}]],
+        "monitored": [[0, 0.0]],
+    }
+    config.update(overrides)
+    return config
+
+
 def test_config_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    malformed = {
+        "phase": _custom_qubit(monitored=[[0, "abc"]]),
+        "entry": _custom_qubit(channels=[[{"row": 1, "col": 0, "re": "x"}]]),
+        "theta": {"model": "rf", "theta": [0.1, "abc"]},
+        "n_cut": {"model": "kerr_cat", "params": {"n_cut": 4.9}},
+        "bool": {"model": "rf", "params": {"kappa": True}},
+    }
+    for name, config in malformed.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
     cases = [
         ("steady", "--model", str(bad)),
         ("steady", "--model", "no_such_model"),
@@ -148,7 +180,11 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ("sweep", "--model", "rf", "--n", "0"),
         ("sweep", "--model", "rf", "--wmin", "2", "--wmax", "1"),
         ("verify", "no_such_suite"),
-    ]
+        ("steady", "--model", "rf", "--param", "kappa=nan"),
+        ("steady", "--model", "rf", "--param", "rabi=inf"),
+        ("sweep", "--model", "rf", "--theta", "nan"),
+    ] + [("steady", "--model", str(tmp_path / f"{name}.json"))
+         for name in malformed]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
@@ -194,6 +230,17 @@ def test_verify_json_failure_exit_2(capsys):
     rows = json.loads(out)
     assert rows[0]["name"] == "rf_closed_forms"
     assert not rows[0]["passed"]
+
+
+def test_verify_json_passes(capsys):
+    # rf_phase_bound computes its verdict with numpy, which must not leak
+    # into the JSON output
+    code, out, _ = run(capsys, "verify", "rf_phase_bound",
+                       "cavity_saturation", "--json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["name"] for row in rows] == ["rf_phase_bound", "cavity_saturation"]
+    assert all(row["passed"] is True for row in rows)
 
 
 def test_help_exits_zero(capsys):

@@ -93,7 +93,7 @@ def test_scalar_resolvent_identity():
     # one-dimensional check of (-i omega - L)^{-1} on the LU path:
     # generator -1 at omega = 1 sends a source s to s / (1 - i)
     m = np.array([[-1j * 1.0 - (-1.0)]], dtype=complex)
-    x = numkit.solve(m, np.array([1.0 + 0.0j]))
+    x = numkit.LUFactor(m).solve(np.array([1.0 + 0.0j]))
     np.testing.assert_allclose(x, [1.0 / (1.0 - 1.0j)], atol=1e-14)
 
 

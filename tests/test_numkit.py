@@ -24,7 +24,7 @@ def test_lu_solve_random_systems():
         n = int(rng.integers(2, 30))
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         x_true = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = numkit.solve(a, a @ x_true)
+        x = numkit.LUFactor(a).solve(a @ x_true)
         np.testing.assert_allclose(x, x_true, rtol=1e-9, atol=1e-12)
 
 
@@ -32,23 +32,23 @@ def test_lu_solve_matrix_rhs():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    x = numkit.factorize(a).solve(b)
+    x = numkit.LUFactor(a).solve(b)
     np.testing.assert_allclose(a @ x, b, atol=1e-12)
 
 
 def test_singular_matrix_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(SingularMatrix):
-        numkit.factorize(a)
+        numkit.LUFactor(a)
 
 
 def test_condition_gate():
     # condition number ~1e16 trips the rcond gate even though LU succeeds
     a = np.diag([1.0, 1e-16]).astype(complex)
     with pytest.raises(SingularMatrix):
-        numkit.factorize(a)
+        numkit.LUFactor(a)
     loose = DEFAULT_TOL.replacing(cond_max=1e18)
-    x = numkit.factorize(a, loose).solve(np.array([1.0, 1e-16], dtype=complex))
+    x = numkit.LUFactor(a, loose).solve(np.array([1.0, 1e-16], dtype=complex))
     np.testing.assert_allclose(x, [1.0, 1.0])
 
 
@@ -56,10 +56,7 @@ def test_eig_ordering():
     a = np.diag([1.0 + 2.0j, 1.0 - 2.0j, 3.0, -1.0])
     res = numkit.eig(a)
     np.testing.assert_allclose(res.values, [3.0, 1.0 + 2.0j, 1.0 - 2.0j, -1.0])
-    assert res.vectors is not None
-    res2 = numkit.eig(a, compute_vectors=False)
-    assert res2.vectors is None
-    np.testing.assert_allclose(res2.values, res.values)
+    np.testing.assert_allclose(np.abs(res.vectors[[2, 0, 1, 3], :]), np.eye(4))
 
 
 def test_eig_reconstructs():

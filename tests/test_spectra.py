@@ -40,9 +40,12 @@ def test_closed_form_values(rf_unit):
                    - forms.spectrum_y) <= 1e-12
 
 
-def test_unmonitored_channel_rejected(rf_unit):
+def test_unmonitored_channel_rejected(rf_unit, kerr_ref):
     with pytest.raises(ValueError):
         homodyne_spectrum(rf_unit, 1, 0.0, 0.0)
+    # the Kerr model's channel 1 (internal loss) exists but is not monitored
+    with pytest.raises(ValueError, match="not monitored"):
+        homodyne_spectrum(kerr_ref, 1, 0.0, 0.5)
 
 
 def test_matrix_reduces_to_scalar(rf_unit):
