@@ -63,7 +63,7 @@ from .models import (
     rf_model,
 )
 from .numkit import DEFAULT_TOL, ToleranceSet
-from .response import ResponseMatrix, complex_response, direct_response, response_matrix
+from .response import ResponseMatrix, complex_response, response_matrix
 from .spectra import NoiseMatrix, homodyne_spectrum, matrix_spectrum
 
 __version__ = "0.1.0"
@@ -89,7 +89,6 @@ __all__ = [
     "matrix_spectrum",
     "NoiseMatrix",
     "complex_response",
-    "direct_response",
     "response_matrix",
     "ResponseMatrix",
     "activity_matrix",

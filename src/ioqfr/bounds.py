@@ -47,8 +47,8 @@ from .models import (
     rf_closed_forms,
 )
 from .numkit import DEFAULT_TOL, ToleranceSet, hermitize
-from .response import ResponseMatrix, response_matrix
-from .spectra import NoiseMatrix, matrix_spectrum
+from .response import ResponseMatrix, response_from_transfer
+from .spectra import NoiseMatrix, spectrum_from_transfer
 
 __all__ = [
     "activity_matrix",
@@ -167,10 +167,9 @@ class BoundPoint:
 def evaluate_point(system: System, activity: np.ndarray, normalizer: np.ndarray,
                    omega: float, tol: ToleranceSet) -> BoundPoint:
     """Evaluate noise, response, J, and the bound margins at one frequency."""
-    res_plus = system.resolvent(omega)
-    res_minus = system.resolvent(-omega)
-    noise = matrix_spectrum(system, omega, tol=tol, resolvents=(res_plus, res_minus))
-    response = response_matrix(system, omega, tol=tol, resolvent=res_plus)
+    transfer = system.transfer(omega)
+    noise = spectrum_from_transfer(system, transfer, omega, tol)
+    response = response_from_transfer(system, transfer, omega)
     j = response_to_noise(response, noise, tol.pinv_rel)
     a_real = np.kron(activity, np.eye(2))
     margin_min = float(np.linalg.eigvalsh(a_real - j)[0])

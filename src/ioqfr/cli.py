@@ -80,6 +80,18 @@ def _number(value: Any, what: str, integer: bool = False) -> float | int:
     return number
 
 
+def _number_array(value: Any, what: str) -> np.ndarray:
+    """A float array from nested JSON lists, each entry checked by _number."""
+    def convert(item: Any, where: str) -> Any:
+        if isinstance(item, list):
+            return [convert(x, f"{where}[{i}]") for i, x in enumerate(item)]
+        return _number(item, where)
+    try:
+        return np.array(convert(value, what), dtype=float)
+    except ValueError:
+        raise ConfigError(f"{what}: nested lists of unequal length") from None
+
+
 def _parse_tol(pairs: Sequence[str]) -> ToleranceSet:
     raw = _parse_pairs(pairs, "--tol")
     known = {f.name for f in dataclasses.fields(ToleranceSet)}
@@ -147,12 +159,11 @@ def _signal_from_config(spec: Any, dim: int, n_channels: int):
         raise ConfigError("signal: expected an object with a mode key")
     mode = spec["mode"]
     if mode == "kinetic":
-        try:
-            coeff = np.asarray(spec["coefficients"], dtype=float)
-        except (KeyError, TypeError, ValueError):
+        if "coefficients" not in spec:
             raise ConfigError("signal: kinetic mode needs a numeric "
-                              "coefficients matrix") from None
-        return kinetic_signal(coeff)
+                              "coefficients matrix")
+        return kinetic_signal(_number_array(spec["coefficients"],
+                                            "signal.coefficients"))
     if mode == "tangent":
         grid = spec.get("tangents")
         if not isinstance(grid, list) or len(grid) != n_channels:
@@ -280,12 +291,11 @@ def _resolve_model(args: argparse.Namespace) -> ModelSpec:
         if not config:
             raise ConfigError("classical_jump needs a JSON config with rates "
                               "and weights")
-        try:
-            rates = np.asarray(config["rates"], dtype=float)
-            weights = np.asarray(config["weights"], dtype=float)
-        except (KeyError, TypeError, ValueError):
+        if "rates" not in config or "weights" not in config:
             raise ConfigError(f"config {path}: classical_jump needs numeric "
-                              "rates and weights arrays") from None
+                              "rates and weights arrays")
+        rates = _number_array(config["rates"], f"config {path}: rates")
+        weights = _number_array(config["weights"], f"config {path}: weights")
         try:
             return ModelSpec(name=name,
                              fixed=classical_jump_model(rates, weights))

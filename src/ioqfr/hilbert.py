@@ -19,12 +19,8 @@ from .errors import DimMismatch
 __all__ = [
     "pauli",
     "annihilation",
-    "identity",
     "transition",
     "dagger",
-    "commutator",
-    "anticommutator",
-    "kron",
     "quadrature",
 ]
 
@@ -55,10 +51,6 @@ def annihilation(n_cut: int) -> np.ndarray:
     return a
 
 
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
-
-
 def transition(dim: int, i: int, j: int) -> np.ndarray:
     """Matrix unit |i><j| on a dim-dimensional space."""
     if not (0 <= i < dim and 0 <= j < dim):
@@ -70,29 +62,6 @@ def transition(dim: int, i: int, j: int) -> np.ndarray:
 
 def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a, dtype=complex).conj().T
-
-
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimMismatch(f"incompatible operator shapes {a.shape} and {b.shape}")
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    _check_same_shape(a, b)
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    _check_same_shape(a, b)
-    return a @ b + b @ a
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def quadrature(coupling: np.ndarray, theta: float) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .errors import (
     SingularMatrix,
     SourceNotTraceless,
 )
+from .hilbert import quadrature
 from .numkit import DEFAULT_TOL, ToleranceSet
 
 __all__ = [
@@ -46,6 +47,8 @@ __all__ = [
     "StationaryState",
     "steady_state",
     "project_traceless",
+    "insertion_state",
+    "perturbation_state",
     "Resolvent",
     "System",
     "prepare",
@@ -390,6 +393,33 @@ def project_traceless(operator: np.ndarray, rho_ss: np.ndarray) -> np.ndarray:
     return operator - rho_ss * np.trace(operator)
 
 
+def insertion_state(coupling: np.ndarray, theta: float, rho: np.ndarray) -> np.ndarray:
+    """B_theta rho evaluated directly; Hermitian for Hermitian rho."""
+    coupling = np.asarray(coupling, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    phase = np.exp(-1j * theta)
+    return phase * (coupling @ rho) + np.conj(phase) * (rho @ coupling.conj().T)
+
+
+def perturbation_state(model: LindbladModel, q: int, rho: np.ndarray) -> np.ndarray:
+    """(d L / d eps_q) rho evaluated directly on a state; traceless."""
+    if model.signal is None:
+        raise ValueError("model has no signal parametrization")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (model.dim, model.dim):
+        raise DimMismatch(f"state shape {rho.shape} does not match dim {model.dim}")
+    out = np.zeros_like(rho)
+    for mu, coupling in enumerate(model.channels):
+        m = model.tangent_operator(mu, q)
+        if m is None:
+            continue
+        cross = m.conj().T @ coupling + coupling.conj().T @ m
+        out += (m @ rho @ coupling.conj().T
+                + coupling @ rho @ m.conj().T
+                - 0.5 * (cross @ rho + rho @ cross))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # resolvent
 
@@ -426,42 +456,80 @@ class Resolvent:
         except SingularMatrix as err:
             raise SingularMatrix(f"resolvent at omega={self.omega!r}: {err}") from err
 
-    def apply(self, source: np.ndarray) -> np.ndarray:
-        """(-i omega - L)^(-1) source for a traceless source operator."""
-        return self.apply_many([source])[0]
-
-    def apply_many(self, sources: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Apply to several traceless sources sharing the factorization."""
-        cols = []
-        for source in sources:
-            source = np.asarray(source, dtype=complex)
-            if source.shape != (self._dim, self._dim):
-                raise DimMismatch(
-                    f"source shape {source.shape} does not match dim {self._dim}")
-            norm = np.linalg.norm(source)
-            tr = np.trace(source)
-            if norm > 0.0 and abs(tr) > self._tol.trace * norm:
-                raise SourceNotTraceless(
-                    f"source trace {tr:.3e} exceeds {self._tol.trace:.1e} * norm {norm:.3e}")
-            cols.append(vec(source))
-        stacked = np.stack(cols, axis=1)
-        solved = self._factor.solve(stacked)
+    def apply_many(self, sources: np.ndarray) -> np.ndarray:
+        """(-i omega - L)^(-1) applied to each traceless column of an (n, k)
+        block of vectorized sources, from the one factorization."""
+        sources = np.asarray(sources, dtype=complex)
+        if sources.ndim != 2 or sources.shape[0] != self._dim ** 2:
+            raise DimMismatch(
+                f"source block shape {sources.shape} does not match dim {self._dim}")
+        norms = np.linalg.norm(sources, axis=0)
+        traces = np.abs(self._trace_vec @ sources)
+        leaks = np.flatnonzero(traces > self._tol.trace * norms)
+        if leaks.size:
+            k = leaks[0]
+            raise SourceNotTraceless(
+                f"source {k} trace {traces[k]:.3e} exceeds "
+                f"{self._tol.trace:.1e} * norm {norms[k]:.3e}")
+        solved = self._factor.solve(sources)
         if self.omega == 0.0:
             solved = solved - np.outer(self._rho_vec, self._trace_vec @ solved)
-        return [unvec(solved[:, k]) for k in range(solved.shape[1])]
+        return solved
 
 
 # ---------------------------------------------------------------------------
 # prepared system
 
+def _realization(model: LindbladModel, rho: np.ndarray) -> tuple:
+    """Fixed realization (Y, C, D) of the monitored currents; three Nones
+    when nothing is monitored.
+
+    For m currents (mu_a, theta_a) with quadratures X_a and p signals:
+    Y = [vec Q(B_a rho) ... | vec V_q rho ...] is (n, m + p), the traceless
+    insertion and perturbation sources; C is (m, n) with rows vec(X_a^T), so
+    that C vec(Z) = Tr[X_a Z]; D is (m, p), the direct terms
+    Tr[(exp(-i theta_a) M + exp(i theta_a) M^dag) rho] of each current's own
+    channel tangent M = dL_mu_a / d eps_q.
+    """
+    if not model.monitored:
+        return None, None, None
+    n_par = model.n_params
+    columns = [vec(project_traceless(insertion_state(model.channels[mu], th, rho), rho))
+               for mu, th in model.monitored]
+    columns += [vec(perturbation_state(model, q, rho)) for q in range(n_par)]
+    sources = np.stack(columns, axis=1)
+    observables = np.stack([vec(quadrature(model.channels[mu], th).T)
+                            for mu, th in model.monitored])
+    direct = np.zeros((len(model.monitored), n_par))
+    for a, (mu, th) in enumerate(model.monitored):
+        for q in range(n_par):
+            m = model.tangent_operator(mu, q)
+            if m is not None:
+                direct[a, q] = np.trace(quadrature(m, th) @ rho).real
+    for block in (sources, observables, direct):
+        block.setflags(write=False)
+    return sources, observables, direct
+
+
 @dataclass(frozen=True)
 class System:
-    """Model plus its generator matrix and stationary state, computed once."""
+    """Model plus its generator matrix, stationary state and the realization
+    (Y, C, D) of its monitored currents (see :func:`_realization`), all
+    computed once; the three realization arrays are None when nothing is
+    monitored."""
 
     model: LindbladModel
     generator: np.ndarray
     steady: StationaryState
     tol: ToleranceSet
+    sources: np.ndarray | None = field(init=False, repr=False)
+    observables: np.ndarray | None = field(init=False, repr=False)
+    direct: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        built = _realization(self.model, self.rho)
+        for name, value in zip(("sources", "observables", "direct"), built):
+            object.__setattr__(self, name, value)
 
     @property
     def rho(self) -> np.ndarray:
@@ -480,6 +548,13 @@ class System:
 
     def resolvent(self, omega: float) -> Resolvent:
         return Resolvent(self.generator, omega, rho_ss=self.rho, tol=self.tol)
+
+    def transfer(self, omega: float) -> np.ndarray:
+        """H(omega) = C (-i omega - L)^(-1) Y, the (m, m + p) transfer matrix
+        of the monitored currents, from one factorization."""
+        if self.sources is None:
+            raise ValueError("model has no monitored currents")
+        return self.observables @ self.resolvent(omega).apply_many(self.sources)
 
 
 def prepare(model: LindbladModel, tol: ToleranceSet = DEFAULT_TOL) -> System:

@@ -153,6 +153,10 @@ def rf_model(params: RfParams, theta: float | None = None) -> LindbladModel:
 # ---------------------------------------------------------------------------
 # Kerr parametric oscillator with bias drive
 
+# Largest dense (d^2, d^2) complex superoperator a Kerr truncation may ask
+# for: 16 n_cut^4 bytes, so n_cut <= 107.
+MAX_SUPEROPERATOR_BYTES = 2 * 1024 ** 3
+
 @dataclass(frozen=True)
 class KerrCatParams:
     """Defaults reproduce the certified operating point used in the
@@ -169,6 +173,11 @@ class KerrCatParams:
     def __post_init__(self) -> None:
         if self.n_cut < 4:
             raise ValueError("n_cut must be at least 4")
+        size = 16 * self.n_cut ** 4
+        if size > MAX_SUPEROPERATOR_BYTES:
+            raise ValueError(
+                f"n_cut={self.n_cut} needs a {size / 1024 ** 3:.3g} GiB superoperator, "
+                f"over the {MAX_SUPEROPERATOR_BYTES / 1024 ** 3:g} GiB limit")
         if self.kappa_ex < 0.0 or self.kappa_in < 0.0:
             raise ValueError("loss rates must be nonnegative")
         if self.kappa_ex == 0.0 and self.kappa_in == 0.0:

@@ -45,7 +45,6 @@ class ToleranceSet:
     trace: float = 1e-10            # tracelessness / trace-preservation threshold
     psd: float = 1e-10              # eigenvalue floor for density matrices
     gap_rel: float = 1e-8           # mixing-gap threshold relative to generator scale
-    imag_residue: float = 1e-10     # allowed imaginary residue on nominally real values
     spectrum_psd: float = 1e-8      # eigenvalue floor for output noise matrices
     bound_margin: float = 1e-8      # slack when certifying matrix inequalities
     activity_floor: float = 1e-12   # smallest usable activity diagonal (rate units)
@@ -77,6 +76,7 @@ class LUFactor:
     def __init__(self, a: np.ndarray, tol: ToleranceSet = DEFAULT_TOL):
         a = _as_square_complex(a)
         self._a = a
+        self._a_fro = np.linalg.norm(a)
         self._tol = tol
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
@@ -103,7 +103,7 @@ class LUFactor:
         b = np.asarray(b, dtype=complex)
         x = scipy.linalg.lu_solve((self._lu, self._piv), b)
         residual = np.linalg.norm(self._a @ x - b)
-        scale = np.linalg.norm(self._a) * np.linalg.norm(x) + np.linalg.norm(b)
+        scale = self._a_fro * np.linalg.norm(x) + np.linalg.norm(b)
         if residual > self._tol.solve_residual * max(scale, np.finfo(float).tiny):
             raise NumericalError(
                 f"solve residual {residual:.3e} exceeds "

@@ -6,11 +6,14 @@ eps_q(t) = sqrt(2) (eta_c cos(omega t) + eta_s sin(omega t)) shifts the
 windowed quadrature pair of each current by sqrt(T) real_R eta, where
 real_R is the blockwise real embedding of the complex response
 
-    R_{a,q}(omega) = Tr[ X_a (-i omega - L)^(-1) V_q rho_ss ] + direct term.
+    R_{a,q}(omega) = Tr[ X_a (-i omega - L)^(-1) V_q rho_ss ] + D_{a,q}.
 
-The direct term is the signal's instantaneous shift of the measured
+The direct term D is the signal's instantaneous shift of the measured
 quadrature itself, Tr[(exp(-i theta) M + exp(i theta) M^dag) rho_ss] for the
-monitored channel's own tangent M, and zero otherwise.
+monitored channel's own tangent M, and zero otherwise. So R = H[:, m:] + D,
+the perturbation columns of the system's transfer matrix
+H = C (-i omega - L)^(-1) Y (:meth:`~ioqfr.lindblad.System.transfer`) plus
+the direct terms of its realization.
 """
 from __future__ import annotations
 
@@ -18,12 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch
-from .hilbert import quadrature
 from .lindblad import (
     KINETIC,
     LindbladModel,
-    Resolvent,
     System,
     as_system,
     dissipator,
@@ -34,11 +34,10 @@ __all__ = [
     "real_block",
     "real_embedding",
     "perturbation_superop",
-    "perturbation_state",
-    "direct_response",
     "complex_response",
     "ResponseMatrix",
     "response_matrix",
+    "response_from_transfer",
 ]
 
 
@@ -85,41 +84,10 @@ def perturbation_superop(model: LindbladModel, q: int) -> np.ndarray:
     return out
 
 
-def perturbation_state(model: LindbladModel, q: int, rho: np.ndarray) -> np.ndarray:
-    """(d L / d eps_q) rho evaluated directly on a state; traceless."""
-    signal = _require_signal(model)
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (model.dim, model.dim):
-        raise DimMismatch(f"state shape {rho.shape} does not match dim {model.dim}")
-    out = np.zeros_like(rho)
-    for mu, coupling in enumerate(model.channels):
-        m = model.tangent_operator(mu, q)
-        if m is None:
-            continue
-        cross = m.conj().T @ coupling + coupling.conj().T @ m
-        out += (m @ rho @ coupling.conj().T
-                + coupling @ rho @ m.conj().T
-                - 0.5 * (cross @ rho + rho @ cross))
-    return out
-
-
 def _require_signal(model: LindbladModel):
     if model.signal is None:
         raise ValueError("model has no signal parametrization")
     return model.signal
-
-
-def direct_response(model_or_system: LindbladModel | System, current: int, q: int,
-                    tol: ToleranceSet | None = None) -> float:
-    """Instantaneous quadrature shift of a monitored current along signal q."""
-    system = as_system(model_or_system, tol)
-    model = system.model
-    mu, theta = model.monitored[current]
-    m = model.tangent_operator(mu, q)
-    if m is None:
-        return 0.0
-    xdot = quadrature(m, theta)
-    return float(np.trace(xdot @ system.rho).real)
 
 
 @dataclass(frozen=True)
@@ -133,24 +101,17 @@ class ResponseMatrix:
 
 
 def response_matrix(model_or_system: LindbladModel | System, omega: float,
-                    tol: ToleranceSet | None = None,
-                    resolvent: Resolvent | None = None) -> ResponseMatrix:
+                    tol: ToleranceSet | None = None) -> ResponseMatrix:
     """Response of every monitored current to every signal at one frequency."""
     system = as_system(model_or_system, tol)
-    model = system.model
-    signal = _require_signal(model)
-    if not model.monitored:
-        raise ValueError("model has no monitored currents")
-    n_cur = len(model.monitored)
-    n_par = signal.n_params
-    res = resolvent if resolvent is not None else system.resolvent(omega)
-    sources = [perturbation_state(model, q, system.rho) for q in range(n_par)]
-    shifted = res.apply_many(sources)
-    cmat = np.empty((n_cur, n_par), dtype=complex)
-    for a, (mu, theta) in enumerate(model.monitored):
-        x = quadrature(model.channels[mu], theta)
-        for q in range(n_par):
-            cmat[a, q] = np.trace(x @ shifted[q]) + direct_response(system, a, q)
+    return response_from_transfer(system, system.transfer(omega), omega)
+
+
+def response_from_transfer(system: System, transfer: np.ndarray,
+                           omega: float) -> ResponseMatrix:
+    """R = H[:, m:] + D from ``transfer = system.transfer(omega)``."""
+    _require_signal(system.model)
+    cmat = transfer[:, len(system.model.monitored):] + system.direct
     cmat.setflags(write=False)
     rmat = real_embedding(cmat)
     rmat.setflags(write=False)

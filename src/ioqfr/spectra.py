@@ -11,10 +11,15 @@ giving the symmetrized spectrum matrix
 
     S_ab(omega) = delta_ab
                 + Tr[ X_a (-i omega - L)^(-1) Q(B_b rho_ss) ]
-                + Tr[ X_b (+i omega - L)^(-1) Q(B_a rho_ss) ],
+                + Tr[ X_b (+i omega - L)^(-1) Q(B_a rho_ss) ].
 
-Hermitian and positive semidefinite up to solver noise. Its blockwise real
-embedding is the covariance matrix of the unit-RMS lock-in quadrature pairs.
+L preserves hermiticity and every X_a and Q(B_b rho_ss) is Hermitian, so the
+second trace is the complex conjugate of the first with a and b swapped:
+S = I + K + K^H with K = C (-i omega - L)^(-1) Y_ins, the insertion columns
+of the system's transfer matrix (:meth:`~ioqfr.lindblad.System.transfer`).
+S is Hermitian by construction and positive semidefinite up to solver
+noise. Its blockwise real embedding is the covariance matrix of the unit-RMS
+lock-in quadrature pairs.
 """
 from __future__ import annotations
 
@@ -23,31 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateChannel, NumericalError
-from .hilbert import quadrature
-from .lindblad import (
-    LindbladModel,
-    Resolvent,
-    System,
-    as_system,
-    project_traceless,
-)
-from .numkit import ToleranceSet, hermitize
+from .lindblad import LindbladModel, System, as_system
+from .numkit import ToleranceSet
 from .response import real_embedding
 
 __all__ = [
-    "insertion_state",
     "homodyne_spectrum",
     "NoiseMatrix",
     "matrix_spectrum",
+    "spectrum_from_transfer",
 ]
-
-
-def insertion_state(coupling: np.ndarray, theta: float, rho: np.ndarray) -> np.ndarray:
-    """B_theta rho evaluated directly; Hermitian for Hermitian rho."""
-    coupling = np.asarray(coupling, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    phase = np.exp(-1j * theta)
-    return phase * (coupling @ rho) + np.conj(phase) * (rho @ coupling.conj().T)
 
 
 @dataclass(frozen=True)
@@ -61,43 +51,26 @@ class NoiseMatrix:
 
 
 def matrix_spectrum(model_or_system: LindbladModel | System, omega: float,
-                    tol: ToleranceSet | None = None,
-                    resolvents: tuple[Resolvent, Resolvent] | None = None
-                    ) -> NoiseMatrix:
+                    tol: ToleranceSet | None = None) -> NoiseMatrix:
     """Spectrum matrix over all monitored currents at one frequency."""
     system = as_system(model_or_system, tol)
-    tolerances = tol if tol is not None else system.tol
-    model = system.model
-    if not model.monitored:
-        raise ValueError("model has no monitored currents")
-    channels = model.monitored_channels
+    return spectrum_from_transfer(system, system.transfer(omega), omega,
+                                  tol if tol is not None else system.tol)
+
+
+def spectrum_from_transfer(system: System, transfer: np.ndarray, omega: float,
+                           tol: ToleranceSet) -> NoiseMatrix:
+    """S = I + K + K^H from the first m columns K of ``system.transfer(omega)``."""
+    channels = system.model.monitored_channels
     if len(set(channels)) != len(channels):
         raise DuplicateChannel(
             f"monitored currents reuse a channel: {channels}; shot-noise "
             "cross terms for shared vacuum inputs are not modeled")
-    m = len(model.monitored)
-    xs = [quadrature(model.channels[mu], th) for mu, th in model.monitored]
-    sources = [
-        project_traceless(insertion_state(model.channels[mu], th, system.rho),
-                          system.rho)
-        for mu, th in model.monitored
-    ]
-    res_plus, res_minus = resolvents if resolvents is not None \
-        else (system.resolvent(omega), system.resolvent(-omega))
-    fwd = res_plus.apply_many(sources)
-    bwd = res_minus.apply_many(sources)
-    raw = np.empty((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            raw[a, b] = (1.0 if a == b else 0.0) \
-                + np.trace(xs[a] @ fwd[b]) + np.trace(xs[b] @ bwd[a])
-    defect = np.linalg.norm(raw - raw.conj().T)
-    if defect > tolerances.imag_residue * max(1.0, np.linalg.norm(raw)):
-        raise NumericalError(
-            f"spectrum matrix at omega={omega!r} has hermiticity defect {defect:.3e}")
-    cmat = hermitize(raw)
+    m = len(channels)
+    k = transfer[:, :m]
+    cmat = np.eye(m) + k + k.conj().T
     eigs = np.linalg.eigvalsh(cmat)
-    if eigs[0] < -tolerances.spectrum_psd:
+    if eigs[0] < -tol.spectrum_psd:
         raise NumericalError(
             f"spectrum matrix at omega={omega!r} has negative eigenvalue {eigs[0]:.3e}")
     cmat.setflags(write=False)

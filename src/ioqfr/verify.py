@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
 
 from .bounds import (
     activity_matrix,
@@ -77,6 +76,8 @@ def finite_difference_lockin(system: System, current: int, q: int, omega: float,
     this estimates the first column (Re R, Im R) of the real response block;
     with the sine envelope, the second column (-Im R, Re R).
     """
+    from scipy.integrate import simpson, solve_ivp  # slow import, only here
+
     if omega <= 0.0:
         raise ValueError("lock-in extraction needs a positive drive frequency")
     model = system.model

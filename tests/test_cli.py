@@ -1,9 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import ioqfr
 from ioqfr.cli import main
 
 
@@ -166,6 +170,22 @@ def test_config_errors_exit_1(tmp_path, capsys):
         "theta": {"model": "rf", "theta": [0.1, "abc"]},
         "n_cut": {"model": "kerr_cat", "params": {"n_cut": 4.9}},
         "bool": {"model": "rf", "params": {"kappa": True}},
+        "nan_rate": {"model": "classical_jump",
+                     "rates": [[0.0, float("nan")], [1.0, 0.0]],
+                     "weights": [[[0.0, 1.0], [1.0, 0.0]]]},
+        "bool_rate": {"model": "classical_jump",
+                      "rates": [[0.0, True], [1.0, 0.0]],
+                      "weights": [[[0.0, 1.0], [1.0, 0.0]]]},
+        "nan_weight": {"model": "classical_jump",
+                       "rates": [[0.0, 1.0], [1.0, 0.0]],
+                       "weights": [[[0.0, float("nan")], [1.0, 0.0]]]},
+        "ragged_rates": {"model": "classical_jump",
+                         "rates": [[0.0, 1.0], [1.0]],
+                         "weights": [[[0.0, 1.0], [1.0, 0.0]]]},
+        "nan_coefficient": _custom_qubit(
+            signal={"mode": "kinetic", "coefficients": [[float("nan")]]}),
+        "bool_coefficient": _custom_qubit(
+            signal={"mode": "kinetic", "coefficients": [[True]]}),
     }
     for name, config in malformed.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
@@ -183,12 +203,24 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ("steady", "--model", "rf", "--param", "kappa=nan"),
         ("steady", "--model", "rf", "--param", "rabi=inf"),
         ("sweep", "--model", "rf", "--theta", "nan"),
+        ("steady", "--model", "kerr_cat", "--param", "n_cut=100000"),
     ] + [("steady", "--model", str(tmp_path / f"{name}.json"))
          for name in malformed]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
         assert err.startswith("error:"), argv
+    code, _, err = run(capsys, "steady", "--model", str(tmp_path / "nan_rate.json"))
+    assert "not finite" in err
+
+
+def test_cli_import_skips_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(ioqfr.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, ioqfr.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_sweep_classical_rejected(tmp_path, capsys):

@@ -100,29 +100,31 @@ def test_scalar_resolvent_identity():
 def test_resolvent_requires_traceless():
     system = prepare(_decay_model())
     res = system.resolvent(1.0)
-    with pytest.raises(SourceNotTraceless):
-        res.apply(np.eye(2, dtype=complex))
+    traceless = vec(project_traceless(np.eye(2) + pauli("x"), system.rho))
+    with pytest.raises(SourceNotTraceless, match="source 1 trace"):
+        res.apply_many(np.stack([traceless, vec(np.eye(2))], axis=1))
 
 
 def test_resolvent_inverts_generator():
     system = prepare(_decay_model())
     rng = np.random.default_rng(3)
-    y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    src = project_traceless(y, system.rho)
+    ys = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+          for _ in range(2)]
+    block = np.stack([vec(project_traceless(y, system.rho)) for y in ys], axis=1)
     for omega in (0.0, 0.9, -2.3):
-        out = system.resolvent(omega).apply(src)
-        back = -1j * omega * out - unvec(system.generator @ vec(out))
-        np.testing.assert_allclose(back, src, atol=1e-10)
-        assert abs(np.trace(out)) <= 1e-10
+        out = system.resolvent(omega).apply_many(block)
+        back = -1j * omega * out - system.generator @ out
+        np.testing.assert_allclose(back, block, atol=1e-10)
+        np.testing.assert_allclose(lindblad.trace_vector(2) @ out, 0.0, atol=1e-10)
 
 
 def test_zero_frequency_deflation_continuity():
     system = prepare(_decay_model())
     rng = np.random.default_rng(4)
     y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    src = project_traceless(y, system.rho)
-    at_zero = system.resolvent(0.0).apply(src)
-    near_zero = system.resolvent(1e-9).apply(src)
+    src = vec(project_traceless(y, system.rho))[:, None]
+    at_zero = system.resolvent(0.0).apply_many(src)
+    near_zero = system.resolvent(1e-9).apply_many(src)
     np.testing.assert_allclose(at_zero, near_zero, atol=1e-7)
 
 

@@ -85,6 +85,11 @@ def test_kerr_cat_validation():
         KerrCatParams(n_cut=3)
     with pytest.raises(ValueError):
         KerrCatParams(kappa_ex=0.0, kappa_in=0.0)
+    # the 16 n_cut^4-byte superoperator must fit in 2 GiB: n_cut 107, not 108
+    assert KerrCatParams(n_cut=40).n_cut == 40
+    assert KerrCatParams(n_cut=107).n_cut == 107
+    with pytest.raises(ValueError, match="GiB"):
+        KerrCatParams(n_cut=108)
 
 
 def test_classical_stationary_two_state():

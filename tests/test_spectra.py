@@ -7,13 +7,17 @@ from ioqfr.errors import DuplicateChannel
 from ioqfr.hilbert import pauli, quadrature
 from ioqfr.lindblad import (
     LindbladModel,
+    insertion_state,
     kinetic_signal,
+    perturbation_state,
     prepare,
     project_traceless,
+    unvec,
     vec,
 )
 from ioqfr.models import KerrCatParams, RfParams, kerr_cat_model, rf_closed_forms, rf_model
-from ioqfr.spectra import homodyne_spectrum, insertion_state, matrix_spectrum
+from ioqfr.response import response_matrix
+from ioqfr.spectra import homodyne_spectrum, matrix_spectrum
 
 
 def test_undriven_emitter_is_shot_noise_limited():
@@ -90,6 +94,33 @@ def test_two_port_matrix_properties(kerr_ref):
         # negative frequency transposes the hermitian matrix
         swapped = matrix_spectrum(both, -omega).complex_matrix
         np.testing.assert_allclose(swapped, cmat.T, atol=1e-10)
+
+
+def test_one_solve_matches_two_sided_definition(kerr_ref):
+    # S and R from one solve against the definitions with both (-i w - L)
+    # and (+i w - L), written out with dense numpy solves
+    gen, rho = np.asarray(kerr_ref.generator), kerr_ref.rho
+    d = rho.shape[0]
+    eye = np.eye(d * d)
+    model = kerr_ref.model
+    for thetas in ((0.0, 0.3), (1.1, 2.5)):
+        both = kerr_ref.with_monitored(list(enumerate(thetas)))
+        xs = [quadrature(c, th) for c, th in zip(model.channels, thetas)]
+        ys = [vec(project_traceless(insertion_state(c, th, rho), rho))
+              for c, th in zip(model.channels, thetas)]
+        vs = [vec(perturbation_state(model, q, rho)) for q in range(2)]
+        for omega in (0.37, -2.1, 4.9):
+            fwd = np.linalg.solve(-1j * omega * eye - gen, np.stack(ys + vs, axis=1))
+            bwd = np.linalg.solve(1j * omega * eye - gen, np.stack(ys, axis=1))
+            k_fwd = np.array([[np.trace(x @ unvec(col)) for col in fwd.T] for x in xs])
+            k_bwd = np.array([[np.trace(x @ unvec(col)) for col in bwd.T] for x in xs])
+            s_def = np.eye(2) + k_fwd[:, :2] + k_bwd.T
+            np.testing.assert_allclose(matrix_spectrum(both, omega).complex_matrix,
+                                       s_def, rtol=0, atol=1e-12 * np.abs(s_def).max())
+            # kinetic signal q scales channel q: tangent (1/2) L_q
+            r_def = k_fwd[:, 2:] + np.diag([0.5 * np.trace(x @ rho).real for x in xs])
+            np.testing.assert_allclose(response_matrix(both, omega).complex_matrix,
+                                       r_def, rtol=0, atol=1e-12 * np.abs(r_def).max())
 
 
 def test_spectrum_even_in_frequency(rf_unit):
