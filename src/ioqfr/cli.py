@@ -29,7 +29,6 @@ from .bounds import (
     evaluate_point,
 )
 from .errors import ConfigError, IoqfrError
-from .hilbert import annihilation, dagger
 from .lindblad import (
     LindbladModel,
     as_system,
@@ -100,10 +99,9 @@ def _parse_tol(pairs: Sequence[str]) -> ToleranceSet:
         if key not in known:
             raise ConfigError(
                 f"unknown tolerance {key!r}; known: {', '.join(sorted(known))}")
-        try:
-            overrides[key] = float(value)
-        except ValueError:
-            raise ConfigError(f"tolerance {key}={value!r} is not a number") from None
+        overrides[key] = _number(value, f"tolerance {key}")
+        if overrides[key] <= 0.0:
+            raise ConfigError(f"tolerance {key}={value!r} is not positive")
     return DEFAULT_TOL.replacing(**overrides) if overrides else DEFAULT_TOL
 
 
@@ -344,11 +342,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
         "rho_re": np.real(rho).tolist(),
         "rho_im": np.imag(rho).tolist(),
     }
-    if spec.name == "rf":
-        report["excited_population"] = float(np.real(rho[0, 0]))
-    if spec.name == "kerr_cat":
-        a = annihilation(model.dim)
-        report["photon_number"] = float(np.trace(dagger(a) @ a @ rho).real)
+    report.update(REGISTRY[spec.name].report(rho))
     _emit_json(report, args.out)
     return 0
 

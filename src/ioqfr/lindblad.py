@@ -303,15 +303,30 @@ class StationaryState:
     residual: float
 
 
+def _deflated(generator: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """M(omega) = -i omega - L + s u t and the stationary right-hand side s u,
+    with u = vec(I)/d, t the trace row (t u = 1) and s = max |L_kk|, so that
+    the shift scales with the rates; u t lives on the d x d block of vec(I)
+    indices, every (d + 1)-th row and column."""
+    n = generator.shape[0]
+    d = math.isqrt(n)
+    shift = float(np.max(np.abs(np.diagonal(generator))))
+    m = np.negative(generator)
+    m.flat[::n + 1] -= 1j * omega
+    m[::d + 1, ::d + 1] += shift / d
+    return m, shift / d * trace_vector(d)
+
+
 def steady_state(generator: np.ndarray,
                  tol: ToleranceSet = DEFAULT_TOL) -> StationaryState:
     """Stationary state of a mixing generator.
 
     The full spectrum is computed to verify mixing (exactly one eigenvalue
     within gap_tol of zero, every other real part below -gap_tol, where
-    gap_tol = gap_rel * max |eigenvalue|). The state itself comes from
-    replacing one redundant row of the generator with the trace functional
-    and solving, then cross-checking against the eigensolver's zero mode.
+    gap_tol = gap_rel * max |eigenvalue|). The state itself solves
+    M(0) rho = s u with the deflated generator of :func:`_deflated`, whose
+    spectrum {s} u {-lambda_k} (Brauer) excludes zero, and is cross-checked
+    against the eigensolver's zero mode.
     """
     generator = np.asarray(generator, dtype=complex)
     d2 = generator.shape[0]
@@ -345,12 +360,7 @@ def steady_state(generator: np.ndarray,
             f"spectral gap {gap:.3e} is below threshold {gap_tol:.3e} "
             f"(slowest nonzero eigenvalue {worst:.6e})")
 
-    # trace-row replacement; row 0 carries part of the trace redundancy
-    t = trace_vector(d)
-    m = generator.copy()
-    m[0, :] = t
-    rhs = np.zeros(d2, dtype=complex)
-    rhs[0] = 1.0
+    m, rhs = _deflated(generator, 0.0)
     factor = numkit.LUFactor(m, tol)
     x = factor.solve(rhs)
     x = x + factor.solve(rhs - m @ x)  # one refinement step
@@ -370,27 +380,27 @@ def steady_state(generator: np.ndarray,
         raise NumericalError(f"stationary residual {residual:.3e} exceeds {tol.trace:.1e}")
 
     v0 = eigres.vectors[:, zero_idx]
-    overlap = t @ v0
+    overlap = trace_vector(d) @ v0
     if abs(overlap) < 1e-12:
         raise NotMixing("zero mode is traceless; no stationary density matrix")
     rho_eig = unvec(v0 / overlap)
     defect = np.linalg.norm(rho_eig - rho)
     if defect > 1e-9 * max(1.0, float(np.linalg.norm(rho))):
         raise NumericalError(
-            f"trace-row solve and eigensolver zero mode disagree by {defect:.3e}")
+            f"deflated solve and eigensolver zero mode disagree by {defect:.3e}")
 
     rho.setflags(write=False)
     return StationaryState(rho=rho, gap=gap, residual=residual)
 
 
-def project_traceless(operator: np.ndarray, rho_ss: np.ndarray) -> np.ndarray:
-    """Remove the stationary direction: Y -> Y - rho_ss Tr Y."""
+def project_traceless(operator: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Remove the stationary direction: Y -> Y - rho Tr Y."""
     operator = np.asarray(operator, dtype=complex)
-    rho_ss = np.asarray(rho_ss, dtype=complex)
-    if operator.shape != rho_ss.shape:
+    rho = np.asarray(rho, dtype=complex)
+    if operator.shape != rho.shape:
         raise DimMismatch(
-            f"operator shape {operator.shape} does not match state {rho_ss.shape}")
-    return operator - rho_ss * np.trace(operator)
+            f"operator shape {operator.shape} does not match state {rho.shape}")
+    return operator - rho * np.trace(operator)
 
 
 def insertion_state(coupling: np.ndarray, theta: float, rho: np.ndarray) -> np.ndarray:
@@ -426,14 +436,12 @@ def perturbation_state(model: LindbladModel, q: int, rho: np.ndarray) -> np.ndar
 class Resolvent:
     """Factorized (-i omega - L), restricted to traceless sources.
 
-    At omega = 0 the generator is singular; the stationary direction is
-    deflated with the rank-one shift -L + vec(rho_ss) t and the solution
-    re-projected onto the traceless subspace, so zero frequency can sit on
-    sweep grids without special casing by the caller.
+    It factors M = -i omega - L + s u t (:func:`_deflated`), whose spectrum
+    {s - i omega} u {-i omega - lambda_k} (Brauer) excludes zero at every real
+    omega; t M = (s - i omega) t, so a traceless y solves to a traceless x.
     """
 
     def __init__(self, generator: np.ndarray, omega: float,
-                 rho_ss: np.ndarray | None = None,
                  tol: ToleranceSet = DEFAULT_TOL):
         generator = np.asarray(generator, dtype=complex)
         d2 = generator.shape[0]
@@ -444,13 +452,7 @@ class Resolvent:
         self._tol = tol
         self._dim = d
         self._trace_vec = trace_vector(d)
-        self._rho_vec = None if rho_ss is None else vec(rho_ss)
-        if self.omega == 0.0:
-            if self._rho_vec is None:
-                raise ValueError("omega=0 resolvent needs the stationary state to deflate")
-            m = -generator + np.outer(self._rho_vec, self._trace_vec)
-        else:
-            m = -1j * self.omega * np.eye(d2) - generator
+        m, _ = _deflated(generator, self.omega)
         try:
             self._factor = numkit.LUFactor(m, tol)
         except SingularMatrix as err:
@@ -471,10 +473,7 @@ class Resolvent:
             raise SourceNotTraceless(
                 f"source {k} trace {traces[k]:.3e} exceeds "
                 f"{self._tol.trace:.1e} * norm {norms[k]:.3e}")
-        solved = self._factor.solve(sources)
-        if self.omega == 0.0:
-            solved = solved - np.outer(self._rho_vec, self._trace_vec @ solved)
-        return solved
+        return self._factor.solve(sources)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +546,7 @@ class System:
                       steady=self.steady, tol=self.tol)
 
     def resolvent(self, omega: float) -> Resolvent:
-        return Resolvent(self.generator, omega, rho_ss=self.rho, tol=self.tol)
+        return Resolvent(self.generator, omega, tol=self.tol)
 
     def transfer(self, omega: float) -> np.ndarray:
         """H(omega) = C (-i omega - L)^(-1) Y, the (m, m + p) transfer matrix

@@ -274,27 +274,36 @@ def classical_jump_model(rates: np.ndarray, weights: np.ndarray) -> LindbladMode
 class ModelEntry:
     """One model family: its parameter dataclass and the short parameter
     aliases the CLI accepts, and, for families with a Lindblad builder, the
-    builder and its default monitored phase. Families defined by a JSON
+    builder, its default monitored phase and the extra entries ``ioqfr
+    steady`` reports for a stationary state. Families defined by a JSON
     config alone leave every field empty."""
 
     params: type | None = None
     aliases: dict[str, str] = field(default_factory=dict)
     build: Callable[[Any, float | None], LindbladModel] | None = None
     theta: float | None = None
+    report: Callable[[np.ndarray], dict[str, float]] = lambda rho: {}
 
     def phase(self, theta: float | None) -> float:
         """The monitored phase: ``theta`` if given, else the default."""
         return float(self.theta if theta is None else theta)
 
 
+def _photon_number(rho: np.ndarray) -> dict[str, float]:
+    a = annihilation(rho.shape[0])
+    return {"photon_number": float(np.trace(dagger(a) @ a @ rho).real)}
+
+
 # model names accepted by the CLI and the JSON config schema, in help order
 REGISTRY: dict[str, ModelEntry] = {
     "cavity": ModelEntry(CavityParams, {"Delta": "delta"}),
-    "rf": ModelEntry(RfParams, {"Omega": "rabi"}, rf_model, np.pi / 2),
+    "rf": ModelEntry(
+        RfParams, {"Omega": "rabi"}, rf_model, np.pi / 2,
+        lambda rho: {"excited_population": float(np.real(rho[0, 0]))}),
     "kerr_cat": ModelEntry(
         KerrCatParams,
         {"K": "kerr", "Delta": "detuning", "p": "two_photon", "F": "bias"},
-        kerr_cat_model, 0.0),
+        kerr_cat_model, 0.0, _photon_number),
     "classical_jump": ModelEntry(),
     "custom": ModelEntry(),
 }

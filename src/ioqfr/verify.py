@@ -24,9 +24,10 @@ from .bounds import (
     rayleigh_identity,
     rf_positivity_residual,
 )
-from .hilbert import annihilation, dagger, quadrature
+from .hilbert import quadrature
 from .lindblad import System, as_system, unvec, vec
 from .models import (
+    REGISTRY,
     CavityParams,
     KerrCatParams,
     RfParams,
@@ -201,8 +202,7 @@ def _suite_kerr_cat_certificate(tol: ToleranceSet) -> tuple[bool, str]:
 def _suite_kerr_cat_truncation(tol: ToleranceSet) -> tuple[bool, str]:
     def photon_number(n_cut: int) -> float:
         system = as_system(kerr_cat_model(KerrCatParams(n_cut=n_cut)), tol)
-        a = annihilation(n_cut)
-        return float(np.trace(dagger(a) @ a @ system.rho).real)
+        return REGISTRY["kerr_cat"].report(system.rho)["photon_number"]
 
     n12 = photon_number(12)
     n16 = photon_number(16)

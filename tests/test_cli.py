@@ -204,6 +204,10 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ("steady", "--model", "rf", "--param", "rabi=inf"),
         ("sweep", "--model", "rf", "--theta", "nan"),
         ("steady", "--model", "kerr_cat", "--param", "n_cut=100000"),
+        ("sweep", "--model", "rf", "--tol", "spectrum_psd=nan"),
+        ("sweep", "--model", "rf", "--tol", "cond_max=inf"),
+        ("bound-report", "--model", "rf", "--tol", "bound_margin=nan"),
+        ("steady", "--model", "rf", "--tol", "gap_rel=0"),
     ] + [("steady", "--model", str(tmp_path / f"{name}.json"))
          for name in malformed]
     for argv in cases:
@@ -244,6 +248,17 @@ def test_not_mixing_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "steady", "--model", str(config))
     assert code == 2
     assert "error:" in err
+
+
+def test_sweep_near_zero_frequency(capsys):
+    # linspace puts 1.1e-16, not 0, on this grid; the resolvent must not
+    # depend on hitting omega == 0 exactly
+    code, out, err = run(capsys, "sweep", "--model", "kerr_cat", "--wmin", "-0.6",
+                         "--wmax", "1.0", "--n", "9")
+    assert code == 0, err
+    rows = list(csv.DictReader(out.splitlines()))
+    assert float(rows[3]["omega"]) == 1.1102230246251565e-16
+    assert all(row["pass"] == "1" for row in rows)
 
 
 def test_verify_subset(capsys):

@@ -19,6 +19,8 @@ from ioqfr.lindblad import (
 )
 from ioqfr.models import KerrCatParams, kerr_cat_model
 from ioqfr.numkit import DEFAULT_TOL
+from ioqfr.response import response_matrix
+from ioqfr.spectra import matrix_spectrum
 
 
 def _decay_model(theta=np.pi / 2, kappa=1.0):
@@ -126,6 +128,21 @@ def test_zero_frequency_deflation_continuity():
     at_zero = system.resolvent(0.0).apply_many(src)
     near_zero = system.resolvent(1e-9).apply_many(src)
     np.testing.assert_allclose(at_zero, near_zero, atol=1e-7)
+
+    # kerr_cat (gap 3.1e-2): S is even in omega, so it matches S(0); R moves
+    # at first order, by omega R'(0) with R'(0) = i C G(0)^2 Y_pert
+    system = prepare(kerr_cat_model(KerrCatParams()))
+    m = len(system.model.monitored)
+    g0 = system.resolvent(0.0)
+    slope = 1j * system.observables @ g0.apply_many(g0.apply_many(system.sources))
+    s0 = matrix_spectrum(system, 0.0).complex_matrix
+    r0 = response_matrix(system, 0.0).complex_matrix
+    for omega in (1e-15, -1e-15, 1e-13, 1e-11, 1e-9):
+        s = matrix_spectrum(system, omega).complex_matrix
+        r = response_matrix(system, omega).complex_matrix
+        assert np.max(np.abs(s - s0)) <= 1e-12 * np.max(np.abs(s0)), omega
+        assert np.max(np.abs(r - r0 - omega * slope[:, m:])) \
+            <= 1e-12 * np.max(np.abs(r0)), omega
 
 
 def test_project_traceless():
