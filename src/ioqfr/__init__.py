@@ -11,6 +11,7 @@ from __future__ import annotations
 from .bounds import (
     BoundReport,
     activity_matrix,
+    applicable_activity,
     certify_bound,
     classical_reduction_check,
     coherent_ceiling_check,
@@ -92,6 +93,7 @@ __all__ = [
     "response_matrix",
     "ResponseMatrix",
     "activity_matrix",
+    "applicable_activity",
     "pure_dissipative_residuals",
     "response_to_noise",
     "certify_bound",

@@ -9,6 +9,10 @@ signal couplings:
 
     J(omega) <= A kron I_2        (as real symmetric matrices).
 
+Both sides read only the model's tangent grid M[mu][q]. Every certificate
+starts at ``applicable_activity``, the one gate that decides whether the
+bound applies at all.
+
 ``certify_bound`` evaluates both sides over a frequency grid, reports the
 normalized top eigenvalue lambda_max of N J N with N = (A kron I_2)^(-1/2)
 on the support of A, the worst eigenvalue of the margin A kron I_2 - J, and
@@ -30,7 +34,6 @@ from .errors import (
     PureDissipativeViolated,
 )
 from .lindblad import (
-    KINETIC,
     LindbladModel,
     System,
     as_system,
@@ -54,6 +57,7 @@ __all__ = [
     "activity_matrix",
     "PureDissipativeCheck",
     "pure_dissipative_residuals",
+    "applicable_activity",
     "response_to_noise",
     "BoundPoint",
     "evaluate_point",
@@ -69,39 +73,25 @@ __all__ = [
 ]
 
 
+def _tangent_stack(model: LindbladModel) -> np.ndarray:
+    """The tangent grid as an (n_channels, n_params, d, d) array; None -> 0."""
+    zero = np.zeros((model.dim, model.dim))
+    return np.array([[zero if m is None else m for m in row] for row in model.tangents],
+                    dtype=complex)
+
+
 def activity_matrix(model_or_system: LindbladModel | System,
                     tol: ToleranceSet | None = None) -> np.ndarray:
     """Signal-activity matrix A_qr = 4 Re sum_mu Tr[M_mu_q^dag M_mu_r rho_ss].
 
-    In kinetic mode this reduces to sum_mu b_mu_q b_mu_r Tr[L^dag L rho_ss],
-    the weighted stationary jump fluxes. Symmetric PSD by construction;
-    validated before return.
+    For kinetic tangents (b_mu_q / 2) L_mu this reduces to
+    sum_mu b_mu_q b_mu_r Tr[L^dag L rho_ss], the weighted stationary jump
+    fluxes. Symmetric PSD by construction; validated before return.
     """
     system = as_system(model_or_system, tol)
     tolerances = tol if tol is not None else system.tol
-    model = system.model
-    if model.signal is None:
-        raise ValueError("model has no signal parametrization")
-    signal = model.signal
-    n_par = signal.n_params
-    rho = system.rho
-    if signal.mode == KINETIC:
-        fluxes = np.array([
-            float(np.trace(c.conj().T @ c @ rho).real) for c in model.channels
-        ])
-        act = signal.coefficients.T @ (fluxes[:, None] * signal.coefficients)
-    else:
-        act = np.zeros((n_par, n_par))
-        for mu in range(model.n_channels):
-            ms = [model.tangent_operator(mu, q) for q in range(n_par)]
-            for q in range(n_par):
-                if ms[q] is None:
-                    continue
-                for r in range(n_par):
-                    if ms[r] is None:
-                        continue
-                    act[q, r] += 4.0 * float(
-                        np.trace(ms[q].conj().T @ ms[r] @ rho).real)
+    tangents = _tangent_stack(system.model)
+    act = 4.0 * np.einsum("mqab,mrab->qr", tangents.conj(), tangents @ system.rho).real
     act = 0.5 * (act + act.T)
     eigs = np.linalg.eigvalsh(act)
     if eigs[0] < -tolerances.psd:
@@ -112,31 +102,53 @@ def activity_matrix(model_or_system: LindbladModel | System,
 
 @dataclass(frozen=True)
 class PureDissipativeCheck:
-    """Frobenius norms of sum_mu (L_mu^dag M_mu_q - M_mu_q^dag L_mu) per
-    signal; nonzero residuals mean the modulation is not purely dissipative
-    and the activity bound does not apply."""
+    """Per-signal Frobenius norms of K_q - K_q^dag, K_q = sum_mu L_mu^dag M_mu_q.
+
+    The tangents are purely dissipative when every K_q is Hermitian. A
+    residual above its threshold herm * sum_mu 2 ||L_mu||_F ||M_mu_q||_F, the
+    scale of the terms it sums, means the modulation is not purely
+    dissipative and the activity bound does not apply."""
 
     residuals: np.ndarray
-    threshold: float
+    thresholds: np.ndarray
     ok: bool
 
 
 def pure_dissipative_residuals(model: LindbladModel,
-                               threshold: float = 1e-10) -> PureDissipativeCheck:
-    if model.signal is None:
-        raise ValueError("model has no signal parametrization")
-    n_par = model.signal.n_params
-    residuals = np.zeros(n_par)
-    for q in range(n_par):
-        acc = np.zeros((model.dim, model.dim), dtype=complex)
-        for mu, coupling in enumerate(model.channels):
-            m = model.tangent_operator(mu, q)
-            if m is None:
-                continue
-            acc += coupling.conj().T @ m - m.conj().T @ coupling
-        residuals[q] = np.linalg.norm(acc)
-    ok = bool(np.all(residuals <= threshold))
-    return PureDissipativeCheck(residuals=residuals, threshold=threshold, ok=ok)
+                               tol: ToleranceSet = DEFAULT_TOL) -> PureDissipativeCheck:
+    tangents = _tangent_stack(model)
+    channels = np.array(model.channels)
+    k = np.einsum("mba,mqbc->qac", channels.conj(), tangents)
+    residuals = np.linalg.norm(k - k.conj().transpose(0, 2, 1), axis=(1, 2))
+    thresholds = 2.0 * tol.herm * (np.linalg.norm(channels, axis=(1, 2))
+                                   @ np.linalg.norm(tangents, axis=(2, 3)))
+    return PureDissipativeCheck(residuals=residuals, thresholds=thresholds,
+                                ok=bool(np.all(residuals <= thresholds)))
+
+
+def applicable_activity(model_or_system: LindbladModel | System,
+                        tol: ToleranceSet = DEFAULT_TOL) -> np.ndarray:
+    """The activity matrix, once the bound is known to apply.
+
+    Raises :class:`ActivityDegenerate` when a signal has activity at or below
+    ``tol.activity_floor`` and :class:`PureDissipativeViolated` when the
+    tangents fail :func:`pure_dissipative_residuals`; either makes the bound
+    meaningless rather than merely violated.
+    """
+    system = as_system(model_or_system, tol)
+    activity = activity_matrix(system, tol)
+    diag = np.diag(activity)
+    if np.min(diag) <= tol.activity_floor:
+        worst = int(np.argmin(diag))
+        raise ActivityDegenerate(
+            f"signal {worst} has activity {diag[worst]:.3e} at or below "
+            f"{tol.activity_floor:.1e}; its bound carries no information")
+    check = pure_dissipative_residuals(system.model, tol)
+    if not check.ok:
+        raise PureDissipativeViolated(
+            "signal tangents are not purely dissipative; residuals "
+            + np.array2string(check.residuals, precision=3))
+    return activity
 
 
 def response_to_noise(response: ResponseMatrix, noise: NoiseMatrix,
@@ -218,7 +230,6 @@ class BoundReport:
     scalar_ratios: np.ndarray | None
     passed: np.ndarray
     notes: tuple[str, ...]
-    j_matrices: tuple[np.ndarray, ...]
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -235,25 +246,12 @@ def certify_bound(model_or_system: LindbladModel | System,
                   seed: int = 20260814) -> BoundReport:
     """Certify J(omega) <= A kron I_2 over a frequency grid.
 
-    Raises :class:`ActivityDegenerate` when a signal has vanishing activity
-    and :class:`PureDissipativeViolated` when explicit tangents fail the
-    dissipative compatibility check; both make the bound meaningless rather
-    than merely violated.
+    The activity comes from :func:`applicable_activity`, which raises
+    :class:`ActivityDegenerate` or :class:`PureDissipativeViolated` when the
+    bound does not apply.
     """
     system = as_system(model_or_system, tol)
-    model = system.model
-    activity = activity_matrix(system, tol)
-    diag = np.diag(activity)
-    if np.min(diag) <= tol.activity_floor:
-        worst = int(np.argmin(diag))
-        raise ActivityDegenerate(
-            f"signal {worst} has activity {diag[worst]:.3e} at or below "
-            f"{tol.activity_floor:.1e}; its bound carries no information")
-    check = pure_dissipative_residuals(model)
-    if not check.ok:
-        raise PureDissipativeViolated(
-            "signal tangents are not purely dissipative; residuals "
-            + np.array2string(check.residuals, precision=3))
+    activity = applicable_activity(system, tol)
     a_real = np.kron(activity, np.eye(2))
     normalizer = numkit.psd_inv_sqrt(a_real, tol.pinv_rel)
     dim = a_real.shape[0]
@@ -285,9 +283,8 @@ def certify_bound(model_or_system: LindbladModel | System,
         scalar_ratios=scalar,
         passed=np.array([pt.passed for pt in points], dtype=bool),
         notes=tuple(pt.note for pt in points),
-        j_matrices=tuple(pt.j_matrix for pt in points),
         metadata={
-            "model_hash": model_fingerprint(model),
+            "model_hash": model_fingerprint(system.model),
             "n_random_directions": _N_RANDOM_DIRECTIONS,
             "seed": seed,
             "tolerances": {

@@ -23,7 +23,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .bounds import (
-    activity_matrix,
+    applicable_activity,
     certify_bound,
     coherent_ceiling_check,
     evaluate_point,
@@ -390,22 +390,28 @@ def _point_columns(pt, m: int, n_par: int) -> list[tuple[str, str]]:
     return cols
 
 
+def _bound_model(spec: ModelSpec, command: str) -> LindbladModel:
+    """The model of sweep or bound-report: monitored and with a signal."""
+    model = spec.model(command)
+    if not model.monitored:
+        raise ConfigError(f"model {spec.name!r} has no monitored currents; "
+                          f"{command} needs at least one")
+    if model.signal is None:
+        raise ConfigError(f"model {spec.name!r} has no signal parametrization")
+    return model
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     tol = _parse_tol(args.tol or [])
     spec = _resolve_model(args)
-    base_model = spec.model("sweep")
-    if not base_model.monitored:
-        raise ConfigError(f"model {spec.name!r} has no monitored currents; "
-                          "sweep needs at least one")
-    if base_model.signal is None:
-        raise ConfigError(f"model {spec.name!r} has no signal parametrization")
+    base_model = _bound_model(spec, "sweep")
     omegas = _sweep_grid(args)
     base = as_system(base_model, tol)
     systems = [base]
     for theta in spec.thetas[1:]:
         systems.append(base.with_monitored(
             [(mu, theta) for mu, _ in base_model.monitored]))
-    activity = activity_matrix(base, tol)
+    activity = applicable_activity(base, tol)
     normalizer = psd_inv_sqrt(np.kron(activity, np.eye(2)), tol.pinv_rel)
     m = len(base_model.monitored)
     n_par = base_model.n_params
@@ -457,11 +463,8 @@ def _cmd_bound_report(args: argparse.Namespace) -> int:
             "passed": report.passed,
         }, args.out)
         return 0 if report.passed else 2
-    model = spec.model("bound-report")
-    if not model.monitored:
-        raise ConfigError(f"model {spec.name!r} has no monitored currents; "
-                          "the bound needs at least one")
-    report = certify_bound(model, omegas, tol=tol, seed=args.seed)
+    report = certify_bound(_bound_model(spec, "bound-report"), omegas,
+                           tol=tol, seed=args.seed)
     payload: dict[str, Any] = {
         "model": spec.name,
         "kind": "fluctuation_response_bound",

@@ -168,16 +168,6 @@ class SignalSpec:
             return self.coefficients.shape[1]
         return len(self.tangents[0])
 
-    def tangent_operator(self, mu: int, q: int,
-                         channels: Sequence[np.ndarray]) -> np.ndarray | None:
-        """dL_mu / d eps_q, or None when the parameter does not touch mu."""
-        if self.mode == KINETIC:
-            b = self.coefficients[mu, q]
-            if b == 0.0:
-                return None
-            return 0.5 * b * np.asarray(channels[mu], dtype=complex)
-        return self.tangents[mu][q]
-
 
 def kinetic_signal(coefficients: np.ndarray) -> SignalSpec:
     return SignalSpec(mode=KINETIC, coefficients=np.asarray(coefficients, dtype=float))
@@ -198,12 +188,18 @@ class LindbladModel:
     ``monitored`` lists (channel index, homodyne phase) pairs; each pair
     defines one measured current with quadrature
     ``exp(-i theta) L + exp(i theta) L^dag`` and unit shot noise.
+
+    The signal is resolved once into the tangent grid :attr:`tangents`, the
+    only form of it that consumers read: a kinetic coefficient b gives
+    (b / 2) L_mu, or None where b = 0; explicit tangents are kept as given.
     """
 
     hamiltonian: np.ndarray
     channels: tuple[np.ndarray, ...] = ()
     monitored: tuple[tuple[int, float], ...] = ()
     signal: SignalSpec | None = None
+    _tangents: tuple[tuple[np.ndarray | None, ...], ...] | None = field(
+        init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         h = _readonly(self.hamiltonian)
@@ -236,11 +232,19 @@ class LindbladModel:
                 raise DimMismatch(
                     f"signal covers {self.signal.n_channels} channels, "
                     f"model has {len(chans)}")
-            if self.signal.mode == TANGENT:
-                for row in self.signal.tangents:
+            if self.signal.mode == KINETIC:
+                b = self.signal.coefficients
+                scaled = 0.5 * b[:, :, None, None] * np.array(chans)[:, None]
+                scaled.setflags(write=False)
+                grid = tuple(tuple(None if b_q == 0.0 else m for b_q, m in zip(row, ms))
+                             for row, ms in zip(b.tolist(), scaled))
+            else:
+                grid = self.signal.tangents
+                for row in grid:
                     for m in row:
                         if m is not None and m.shape != h.shape:
                             raise DimMismatch("tangent operator dimension mismatch")
+            object.__setattr__(self, "_tangents", grid)
 
     @property
     def dim(self) -> int:
@@ -258,10 +262,17 @@ class LindbladModel:
     def monitored_channels(self) -> tuple[int, ...]:
         return tuple(mu for mu, _ in self.monitored)
 
-    def tangent_operator(self, mu: int, q: int) -> np.ndarray | None:
-        if self.signal is None:
+    @property
+    def tangents(self) -> tuple[tuple[np.ndarray | None, ...], ...]:
+        """The read-only tangent grid M[mu][q]; None where parameter q does
+        not touch channel mu. Raises ValueError when the model has no signal."""
+        if self._tangents is None:
             raise ValueError("model has no signal parametrization")
-        return self.signal.tangent_operator(mu, q, self.channels)
+        return self._tangents
+
+    def tangent_operator(self, mu: int, q: int) -> np.ndarray | None:
+        """dL_mu / d eps_q, or None when the parameter does not touch mu."""
+        return self.tangents[mu][q]
 
 
 def model_fingerprint(model: LindbladModel) -> str:
@@ -326,7 +337,8 @@ def steady_state(generator: np.ndarray,
     gap_tol = gap_rel * max |eigenvalue|). The state itself solves
     M(0) rho = s u with the deflated generator of :func:`_deflated`, whose
     spectrum {s} u {-lambda_k} (Brauer) excludes zero, and is cross-checked
-    against the eigensolver's zero mode.
+    against the eigensolver's zero mode. Its residual ||L vec(rho)|| must
+    stay below trace * ||L||_F, so the check does not depend on the rate unit.
     """
     generator = np.asarray(generator, dtype=complex)
     d2 = generator.shape[0]
@@ -376,8 +388,9 @@ def steady_state(generator: np.ndarray,
             f"stationary state has negative eigenvalue {eigs[0]:.3e}")
 
     residual = float(np.linalg.norm(generator @ vec(rho)))
-    if residual > tol.trace:
-        raise NumericalError(f"stationary residual {residual:.3e} exceeds {tol.trace:.1e}")
+    limit = tol.trace * float(np.linalg.norm(generator))
+    if residual > limit:
+        raise NumericalError(f"stationary residual {residual:.3e} exceeds {limit:.3e}")
 
     v0 = eigres.vectors[:, zero_idx]
     overlap = trace_vector(d) @ v0
@@ -413,14 +426,13 @@ def insertion_state(coupling: np.ndarray, theta: float, rho: np.ndarray) -> np.n
 
 def perturbation_state(model: LindbladModel, q: int, rho: np.ndarray) -> np.ndarray:
     """(d L / d eps_q) rho evaluated directly on a state; traceless."""
-    if model.signal is None:
-        raise ValueError("model has no signal parametrization")
+    tangents = model.tangents
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (model.dim, model.dim):
         raise DimMismatch(f"state shape {rho.shape} does not match dim {model.dim}")
     out = np.zeros_like(rho)
-    for mu, coupling in enumerate(model.channels):
-        m = model.tangent_operator(mu, q)
+    for coupling, row in zip(model.channels, tangents):
+        m = row[q]
         if m is None:
             continue
         cross = m.conj().T @ coupling + coupling.conj().T @ m

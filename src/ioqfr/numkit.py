@@ -41,8 +41,8 @@ class ToleranceSet:
     solve_residual: float = 1e-10   # relative residual allowed for linear solves
     cond_max: float = 1e14          # condition ceiling before SingularMatrix
     pinv_rel: float = 1e-12         # relative singular-value cutoff for pseudo-inverses
-    herm: float = 1e-12             # hermiticity validation threshold
-    trace: float = 1e-10            # tracelessness / trace-preservation threshold
+    herm: float = 1e-12             # relative hermiticity validation threshold
+    trace: float = 1e-10            # relative tracelessness / stationarity threshold
     psd: float = 1e-10              # eigenvalue floor for density matrices
     gap_rel: float = 1e-8           # mixing-gap threshold relative to generator scale
     spectrum_psd: float = 1e-8      # eigenvalue floor for output noise matrices

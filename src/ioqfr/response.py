@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import (
-    KINETIC,
-    LindbladModel,
-    System,
-    as_system,
-    dissipator,
-)
+from .lindblad import LindbladModel, System, as_system
 from .numkit import ToleranceSet
 
 __all__ = [
@@ -62,18 +56,11 @@ def real_embedding(cmat: np.ndarray) -> np.ndarray:
 
 def perturbation_superop(model: LindbladModel, q: int) -> np.ndarray:
     """Generator derivative d L / d eps_q as a dense (d^2, d^2) matrix."""
-    signal = _require_signal(model)
     d = model.dim
     eye = np.eye(d)
     out = np.zeros((d * d, d * d), dtype=complex)
-    if signal.mode == KINETIC:
-        for mu, coupling in enumerate(model.channels):
-            b = signal.coefficients[mu, q]
-            if b != 0.0:
-                out += b * dissipator(coupling)
-        return out
-    for mu, coupling in enumerate(model.channels):
-        m = signal.tangents[mu][q]
+    for coupling, row in zip(model.channels, model.tangents):
+        m = row[q]
         if m is None:
             continue
         cross = m.conj().T @ coupling + coupling.conj().T @ m
@@ -82,12 +69,6 @@ def perturbation_superop(model: LindbladModel, q: int) -> np.ndarray:
                 - 0.5 * np.kron(eye, cross)
                 - 0.5 * np.kron(cross.T, eye))
     return out
-
-
-def _require_signal(model: LindbladModel):
-    if model.signal is None:
-        raise ValueError("model has no signal parametrization")
-    return model.signal
 
 
 @dataclass(frozen=True)
@@ -109,8 +90,9 @@ def response_matrix(model_or_system: LindbladModel | System, omega: float,
 
 def response_from_transfer(system: System, transfer: np.ndarray,
                            omega: float) -> ResponseMatrix:
-    """R = H[:, m:] + D from ``transfer = system.transfer(omega)``."""
-    _require_signal(system.model)
+    """R = H[:, m:] + D from ``transfer = system.transfer(omega)``; the model
+    must have a signal."""
+    system.model.tangents  # raises ValueError when the model has no signal
     cmat = transfer[:, len(system.model.monitored):] + system.direct
     cmat.setflags(write=False)
     rmat = real_embedding(cmat)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ioqfr.bounds import (
     activity_matrix,
@@ -58,6 +62,62 @@ def test_pure_dissipative_residual_hamiltonian_tangent(rf_unit):
     np.testing.assert_allclose(check.residuals, [1.0], atol=1e-12)
     with pytest.raises(PureDissipativeViolated):
         certify_bound(twisted, [0.0])
+
+
+def _random_dynamics(rng, d, n_ch):
+    """Random Hermitian H and n_ch dense jump operators, generically mixing."""
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = (g + g.conj().T) / (2.0 * math.sqrt(d))
+    channels = [(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+                / math.sqrt(2.0 * d) for _ in range(n_ch)]
+    return h, channels
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(d=st.integers(2, 5), n_ch=st.integers(1, 3), n_par=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kinetic_activity_is_flux_form(d, n_ch, n_par, seed):
+    # the paper's reduction: kinetic tangents (b/2) L give the weighted
+    # stationary jump fluxes, and are purely dissipative
+    rng = np.random.default_rng(seed)
+    h, channels = _random_dynamics(rng, d, n_ch)
+    b = rng.standard_normal((n_ch, n_par))
+    b[rng.random(b.shape) < 0.25] = 0.0
+    model = LindbladModel(hamiltonian=h, channels=tuple(channels),
+                          signal=kinetic_signal(b))
+    system = prepare(model)
+    fluxes = [np.trace(c.conj().T @ c @ system.rho).real for c in channels]
+    flux_form = b.T @ np.diag(fluxes) @ b
+    np.testing.assert_allclose(activity_matrix(system), flux_form, rtol=0,
+                               atol=1e-12 * max(np.max(np.abs(flux_form)), 1e-300))
+    check = pure_dissipative_residuals(model)
+    # fl(b/2 * L) makes L^dag M Hermitian only up to rounding, far below the gate
+    assert check.ok
+    assert np.all(check.residuals <= 1e-2 * check.thresholds)
+
+
+def test_certificate_covariant_under_rate_scale():
+    # H -> cH, L -> sqrt(c) L, M -> sqrt(c) M, omega -> c omega is a change of
+    # time unit: no verdict and no normalized ratio may move
+    rng = np.random.default_rng(11)
+    h, channels = _random_dynamics(rng, 4, 3)
+    us = [rng.standard_normal((3, 3)) for _ in range(2)]
+    us = [0.5 * (u + u.T) for u in us]
+    omegas = np.array([0.0, 0.37, -1.3, 4.1])
+    reports = []
+    for c in (1e-3, 1.0, 1e3, 1e6):
+        chans = [math.sqrt(c) * op for op in channels]
+        grid = [[sum(u[mu, nu] * chans[nu] for nu in range(3)) for u in us]
+                for mu in range(3)]
+        model = LindbladModel(hamiltonian=c * h, channels=tuple(chans),
+                              monitored=((0, 0.4), (2, 1.9)),
+                              signal=tangent_signal(grid))
+        reports.append(certify_bound(model, c * omegas))
+    assert reports[1].all_passed
+    for report in reports:
+        np.testing.assert_array_equal(report.passed, reports[1].passed)
+        np.testing.assert_allclose(report.lambda_max, reports[1].lambda_max,
+                                   rtol=1e-9, atol=0)
 
 
 def test_activity_degenerate():

@@ -189,6 +189,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
     }
     for name, config in malformed.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    no_signal = tmp_path / "no_signal.json"
+    no_signal.write_text(json.dumps(_custom_qubit()))
     cases = [
         ("steady", "--model", str(bad)),
         ("steady", "--model", "no_such_model"),
@@ -208,6 +210,7 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ("sweep", "--model", "rf", "--tol", "cond_max=inf"),
         ("bound-report", "--model", "rf", "--tol", "bound_margin=nan"),
         ("steady", "--model", "rf", "--tol", "gap_rel=0"),
+        ("bound-report", "--model", str(no_signal)),
     ] + [("steady", "--model", str(tmp_path / f"{name}.json"))
          for name in malformed]
     for argv in cases:
@@ -216,6 +219,8 @@ def test_config_errors_exit_1(tmp_path, capsys):
         assert err.startswith("error:"), argv
     code, _, err = run(capsys, "steady", "--model", str(tmp_path / "nan_rate.json"))
     assert "not finite" in err
+    code, _, err = run(capsys, "bound-report", "--model", str(no_signal))
+    assert err == "error: model 'custom' has no signal parametrization\n"
 
 
 def test_cli_import_skips_scipy_integrate():
@@ -225,6 +230,42 @@ def test_cli_import_skips_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("signal, message", [
+    # M = i sigma_-: Hamiltonian-like, so the bound does not apply
+    ({"mode": "tangent", "tangents": [[[{"row": 1, "col": 0, "im": 1.0}]]]},
+     "not purely dissipative"),
+    # the first signal does not touch the only channel
+    ({"mode": "kinetic", "coefficients": [[0.0, 1.0]]},
+     "signal 0 has activity 0.000e+00 at or below"),
+])
+@pytest.mark.parametrize("command", ["sweep", "bound-report"])
+def test_bound_commands_share_applicability_gate(tmp_path, capsys, command,
+                                                 signal, message):
+    config = tmp_path / "qubit.json"
+    config.write_text(json.dumps(_custom_qubit(signal=signal)))
+    code, out, err = run(capsys, command, "--model", str(config), "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--model", "kerr_cat", "--wmin", "-5", "--wmax", "5", "--n", "21"),
+    ("--model", os.path.join(os.path.dirname(__file__), "golden",
+                             "custom_two_currents.json"), "--n", "21"),
+])
+def test_sweep_agrees_with_bound_report(capsys, argv):
+    code, out, _ = run(capsys, "sweep", *argv)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    code, out, _ = run(capsys, "bound-report", *argv)
+    assert code == 0
+    report = json.loads(out)
+    assert [float(row["lambda_max"]) for row in rows] == report["lambda_max"]
+    assert [float(row["margin_min"]) for row in rows] == report["margin_min"]
+    assert [row["pass"] == "1" for row in rows] == report["passed"]
 
 
 def test_sweep_classical_rejected(tmp_path, capsys):
