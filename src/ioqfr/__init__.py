@@ -3,8 +3,8 @@ open quantum systems.
 
 Computes homodyne output spectra, lock-in response matrices, and
 signal-activity matrices for Lindblad models, and certifies the
-detector-facing bound J(omega) <= A kron I_2 on built-in and user-supplied
-models. See the README for the CLI and the acceptance suite.
+detector-facing bound J(omega) = R^H pinv(S) R <= A on built-in and
+user-supplied models. See the README for the CLI and the acceptance suite.
 """
 from __future__ import annotations
 

@@ -38,6 +38,7 @@ from .lindblad import (
 )
 from .models import REGISTRY, classical_jump_model
 from .numkit import DEFAULT_TOL, ToleranceSet, psd_inv_sqrt
+from .response import real_embedding
 from .verify import SUITES, run_suites
 
 __all__ = ["main", "build_parser"]
@@ -212,10 +213,10 @@ def _custom_model(config: dict, path: str) -> LindbladModel:
                               "[channel_index, theta]")
         monitored.append((item[0], _number(
             item[1], f"config {path}: monitored[{k}] theta")))
-    signal = None
-    if config.get("signal") is not None:
-        signal = _signal_from_config(config["signal"], dim, len(channels))
     try:
+        signal = None
+        if config.get("signal") is not None:
+            signal = _signal_from_config(config["signal"], dim, len(channels))
         return LindbladModel(hamiltonian=hamiltonian, channels=tuple(channels),
                              monitored=tuple(monitored), signal=signal)
     except (IoqfrError, ValueError) as err:
@@ -412,7 +413,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         systems.append(base.with_monitored(
             [(mu, theta) for mu, _ in base_model.monitored]))
     activity = applicable_activity(base, tol)
-    normalizer = psd_inv_sqrt(np.kron(activity, np.eye(2)), tol.pinv_rel)
+    normalizer = real_embedding(psd_inv_sqrt(activity, tol.pinv_rel))
     m = len(base_model.monitored)
     n_par = base_model.n_params
 
@@ -463,8 +464,7 @@ def _cmd_bound_report(args: argparse.Namespace) -> int:
             "passed": report.passed,
         }, args.out)
         return 0 if report.passed else 2
-    report = certify_bound(_bound_model(spec, "bound-report"), omegas,
-                           tol=tol, seed=args.seed)
+    report = certify_bound(_bound_model(spec, "bound-report"), omegas, tol=tol)
     payload: dict[str, Any] = {
         "model": spec.name,
         "kind": "fluctuation_response_bound",
@@ -472,7 +472,6 @@ def _cmd_bound_report(args: argparse.Namespace) -> int:
         "activity": report.activity.tolist(),
         "lambda_max": report.lambda_max.tolist(),
         "margin_min": report.margin_min.tolist(),
-        "directional_min": report.directional_min.tolist(),
         "support_leak": report.support_leak.tolist(),
         "scalar_ratios": None if report.scalar_ratios is None
         else report.scalar_ratios.tolist(),
@@ -575,8 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
         "frequency grid (JSON); exit 2 on violation")
     _add_model_options(bound)
     _add_grid_options(bound)
-    bound.add_argument("--seed", type=int, default=20260814,
-                       help="seed for random certification directions")
     bound.set_defaults(func=_cmd_bound_report)
 
     verify = commands.add_parser(

@@ -140,6 +140,8 @@ class SignalSpec:
             coeff = np.array(self.coefficients, dtype=float, copy=True)
             if coeff.ndim != 2:
                 raise DimMismatch("kinetic coefficients must be 2-D (channels x params)")
+            if coeff.shape[1] == 0:
+                raise DimMismatch("kinetic coefficients must have at least one parameter")
             coeff.setflags(write=False)
             object.__setattr__(self, "coefficients", coeff)
         if self.tangents is not None:

@@ -43,7 +43,7 @@ class ToleranceSet:
     pinv_rel: float = 1e-12         # relative singular-value cutoff for pseudo-inverses
     herm: float = 1e-12             # relative hermiticity validation threshold
     trace: float = 1e-10            # relative tracelessness / stationarity threshold
-    psd: float = 1e-10              # eigenvalue floor for density matrices
+    psd: float = 1e-10              # eigenvalue floor for states; relative for activities
     gap_rel: float = 1e-8           # mixing-gap threshold relative to generator scale
     spectrum_psd: float = 1e-8      # eigenvalue floor for output noise matrices
     bound_margin: float = 1e-8      # slack when certifying matrix inequalities
@@ -149,20 +149,22 @@ def hermitize(a: np.ndarray) -> np.ndarray:
 def psd_inv_sqrt(a: np.ndarray, rel_tol: float = DEFAULT_TOL.pinv_rel) -> np.ndarray:
     """Inverse square root of a real symmetric PSD matrix on its support.
 
-    Eigenvalues in (-rel_tol * lambda_max, rel_tol * lambda_max] are treated
-    as zero; a negative eigenvalue beyond that band raises :class:`NotPSD`.
+    An imaginary part or asymmetry above 1e-12 of the Frobenius norm raises
+    :class:`NotPSD`, whatever the units of ``a``. Eigenvalues in
+    (-rel_tol * lambda_max, rel_tol * lambda_max] are treated as zero; a
+    negative eigenvalue beyond that band raises :class:`NotPSD`.
     The result N satisfies N a N = projector onto the support of a.
     """
     a = np.asarray(a)
     if np.iscomplexobj(a):
-        if np.max(np.abs(a.imag)) > 1e-12 * max(1.0, np.linalg.norm(a)):
+        if np.max(np.abs(a.imag)) > 1e-12 * np.linalg.norm(a):
             raise NotPSD("matrix has a non-negligible imaginary part")
         a = a.real
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NumericalError(f"expected a square matrix, got shape {a.shape}")
     sym_defect = np.linalg.norm(a - a.T)
-    if sym_defect > 1e-12 * max(1.0, np.linalg.norm(a)):
+    if sym_defect > 1e-12 * np.linalg.norm(a):
         raise NotPSD(f"matrix not symmetric (defect {sym_defect:.3e})")
     w, v = np.linalg.eigh(0.5 * (a + a.T))
     lam_max = max(float(w[-1]), 0.0)

@@ -19,9 +19,9 @@ from ioqfr.bounds import (
 from ioqfr.errors import ActivityDegenerate, PureDissipativeViolated
 from ioqfr.lindblad import LindbladModel, kinetic_signal, prepare, tangent_signal
 from ioqfr.models import CavityParams, RfParams, rf_model
-from ioqfr.numkit import DEFAULT_TOL, psd_inv_sqrt
-from ioqfr.response import response_matrix
-from ioqfr.spectra import matrix_spectrum
+from ioqfr.numkit import DEFAULT_TOL, hermitize, psd_inv_sqrt
+from ioqfr.response import real_embedding, response_matrix
+from ioqfr.spectra import NoiseMatrix, matrix_spectrum
 
 
 def test_activity_driven_emitter(rf_unit):
@@ -37,6 +37,23 @@ def test_activity_scaling():
     np.testing.assert_allclose(activity_matrix(prepare(scaled)),
                                2.5 ** 2 * activity_matrix(prepare(base)),
                                atol=1e-12)
+
+
+def test_activity_gate_is_scale_free():
+    # a valid rank-1 activity: its zero eigenvalue is rounding in rate units,
+    # so only its size relative to the largest eigenvalue may be judged
+    unit = None
+    for c in (1.0, 1e3, 1e6, 1e9, 1e12):
+        base = rf_model(RfParams(kappa=c, rabi=c))
+        model = LindbladModel(
+            hamiltonian=base.hamiltonian, channels=base.channels,
+            monitored=base.monitored,
+            signal=kinetic_signal(np.array([[0.1, 0.37]])))
+        act = activity_matrix(model) / c
+        unit = act if unit is None else unit
+        np.testing.assert_allclose(act, unit, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(np.linalg.eigvalsh(unit),
+                               [0.0, (0.1 ** 2 + 0.37 ** 2) / 3.0], atol=1e-15)
 
 
 def test_activity_tangent_equals_kinetic(rf_unit):
@@ -133,8 +150,36 @@ def test_response_to_noise_symmetry(rf_unit):
     noise = matrix_spectrum(rf_unit, 0.8)
     response = response_matrix(rf_unit, 0.8)
     j = response_to_noise(response, noise)
-    np.testing.assert_allclose(j, j.T, atol=1e-14)
+    np.testing.assert_allclose(j, j.conj().T, atol=1e-14)
     assert np.linalg.eigvalsh(j)[0] >= -1e-12
+
+
+def test_complex_certificate_embeds_real_formula():
+    # real_embedding is a *-homomorphism, so the (p, p) J = R^H S^+ R carries
+    # the old (2p, 2p) real_R^T pinv(real_S) real_R, written out here
+    rng = np.random.default_rng(23)
+    h, channels = _random_dynamics(rng, 3, 3)
+    model = LindbladModel(hamiltonian=h, channels=tuple(channels),
+                          monitored=((0, 0.3), (2, 1.7)),
+                          signal=kinetic_signal(rng.standard_normal((3, 2))))
+    system = prepare(model)
+    for omega in (0.0, 0.9, -2.4):
+        noise = matrix_spectrum(system, omega)
+        response = response_matrix(system, omega)
+        if omega == 0.9:
+            # drop the smallest eigenvalue of S: both pseudo-inverses truncate
+            w, v = np.linalg.eigh(noise.complex_matrix)
+            s = hermitize((v[:, 1:] * w[1:]) @ v[:, 1:].conj().T)
+            noise = NoiseMatrix(omega=omega, complex_matrix=s,
+                                real_matrix=real_embedding(s))
+            assert np.linalg.matrix_rank(noise.real_matrix, tol=1e-10) == 2
+        r_real = response.real_matrix
+        want = r_real.T @ np.linalg.pinv(noise.real_matrix,
+                                         rcond=DEFAULT_TOL.pinv_rel) @ r_real
+        j = response_to_noise(response, noise)
+        assert j.shape == (2, 2)
+        np.testing.assert_allclose(real_embedding(j), want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
 
 def test_certify_driven_emitter(rf_unit):
@@ -142,7 +187,6 @@ def test_certify_driven_emitter(rf_unit):
     assert report.all_passed
     assert report.lambda_max.max() < 1.0
     assert report.margin_min.min() >= -DEFAULT_TOL.bound_margin
-    assert report.directional_min.min() >= -1e-8
     assert report.scalar_ratios is not None
     np.testing.assert_allclose(report.lambda_max,
                                report.scalar_ratios[:, 0], atol=1e-10)

@@ -137,7 +137,9 @@ def test_bound_report_kerr(tmp_path, capsys):
     report = json.loads(out_path.read_text())
     assert report["all_passed"]
     assert max(report["lambda_max"]) < 1.0
-    assert report["metadata"]["seed"] == 20260814
+    assert "directional_min" not in report
+    assert "seed" not in report["metadata"]
+    assert "n_random_directions" not in report["metadata"]
 
 
 def test_bound_report_cavity(capsys):
@@ -186,6 +188,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
             signal={"mode": "kinetic", "coefficients": [[float("nan")]]}),
         "bool_coefficient": _custom_qubit(
             signal={"mode": "kinetic", "coefficients": [[True]]}),
+        "empty_coefficients": _custom_qubit(
+            signal={"mode": "kinetic", "coefficients": [[]]}),
+        "empty_tangents": _custom_qubit(signal={"mode": "tangent", "tangents": [[]]}),
     }
     for name, config in malformed.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
@@ -211,6 +216,9 @@ def test_config_errors_exit_1(tmp_path, capsys):
         ("bound-report", "--model", "rf", "--tol", "bound_margin=nan"),
         ("steady", "--model", "rf", "--tol", "gap_rel=0"),
         ("bound-report", "--model", str(no_signal)),
+        ("bound-report", "--model", "rf", "--seed", "1"),
+        ("sweep", "--model", str(tmp_path / "empty_coefficients.json")),
+        ("bound-report", "--model", str(tmp_path / "empty_coefficients.json")),
     ] + [("steady", "--model", str(tmp_path / f"{name}.json"))
          for name in malformed]
     for argv in cases:

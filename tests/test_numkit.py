@@ -109,6 +109,15 @@ def test_psd_inv_sqrt_rejects_indefinite():
         numkit.psd_inv_sqrt(np.diag([1.0, -1.0]))
 
 
+def test_psd_inv_sqrt_asymmetry_is_relative():
+    # an asymmetry of 1e-6 of the norm is not rounding, whatever the units
+    a = 1e-9 * np.array([[1.0, 1e-6], [0.0, 1.0]])
+    with pytest.raises(NotPSD):
+        numkit.psd_inv_sqrt(a)
+    with pytest.raises(NotPSD):
+        numkit.psd_inv_sqrt(1e-9 * np.eye(2) + 1e-15j * np.eye(2))
+
+
 def test_psd_inv_sqrt_zero_matrix():
     n = numkit.psd_inv_sqrt(np.zeros((3, 3)))
     np.testing.assert_allclose(n, 0.0)
