@@ -187,7 +187,9 @@ def evaluate_point(system: System, activity: np.ndarray, normalizer: np.ndarray,
 
     ``normalizer`` is (A kron I_2)^(-1/2) on the support of A, the real
     embedding of A^(-1/2); the (p, p) certificate reads A^(-1/2) as
-    ``normalizer[::2, ::2]``.
+    ``normalizer[::2, ::2]``. margin_min and support_leak carry rate units,
+    so both are held to ``tol.bound_margin`` times the largest eigenvalue of
+    A, and the verdict does not depend on the time unit.
     """
     transfer = system.transfer(omega)
     noise = spectrum_from_transfer(system, transfer, omega, tol)
@@ -198,8 +200,9 @@ def evaluate_point(system: System, activity: np.ndarray, normalizer: np.ndarray,
     lambda_max = float(np.linalg.eigvalsh(hermitize(norm @ j @ norm))[-1])
     perp = np.eye(len(activity)) - norm @ activity @ norm
     support_leak = float(np.linalg.norm(perp @ j @ perp, 2))
-    support_ok = support_leak <= tol.bound_margin
-    passed = bool(margin_min >= -tol.bound_margin and support_ok)
+    slack = tol.bound_margin * float(np.linalg.eigvalsh(activity)[-1])
+    support_ok = support_leak <= slack
+    passed = bool(margin_min >= -slack and support_ok)
     if not support_ok:
         note = f"support mismatch: J leaks {support_leak:.3e} outside the activity support"
     elif margin_min < 0.0:
@@ -228,7 +231,8 @@ class BoundReport:
     ``margin_min[i]`` the smallest eigenvalue of A - J and
     ``support_leak[i]`` the spectral norm of J outside the support of A, all
     of the complex (p, p) J at ``omegas[i]``. ``passed[i]`` is True iff
-    margin_min[i] >= -bound_margin and J stays on the activity support.
+    margin_min[i] >= -bound_margin * lambda_max(A) and support_leak[i] stays
+    within the same slack.
     """
 
     omegas: np.ndarray

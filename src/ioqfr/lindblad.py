@@ -10,6 +10,15 @@ matrix applied to ``vec(rho)``. The generator is
 assumed exponentially mixing: a simple zero eigenvalue and every other
 eigenvalue with real part at most -gap. Violations raise
 :class:`~ioqfr.errors.NotMixing`; they are never downgraded to warnings.
+
+Numerical work happens in the coherence-vector form: in the orthonormal
+generalized Gell-Mann basis U = {I/sqrt(d), traceless Hermitian B_k}, a
+hermiticity- and trace-preserving L is the real matrix [[0, 0], [b, L']],
+with L' its generator on the traceless subspace, nonsingular iff L is
+mixing. :func:`steady_state` factors L' = Z T Z^H once (real Schur, then
+complex triangular); the mixing verdict and gap come from diag(T), and every
+resolvent applied afterwards, at any frequency, is one triangular solve with
+-i omega - T.
 """
 from __future__ import annotations
 
@@ -296,12 +305,104 @@ def model_fingerprint(model: LindbladModel) -> str:
 
 
 def liouvillian(model: LindbladModel) -> np.ndarray:
-    """Dense (d^2, d^2) generator matrix in the column-stacking convention."""
+    """Dense (d^2, d^2) generator matrix in the column-stacking convention.
+
+    L rho = K rho + rho K^dag + sum_mu L_mu rho L_mu^dag with
+    K = -i H - (1/2) sum_mu L_mu^dag L_mu, i.e. I kron K + conj(K) kron I
+    + sum_mu conj(L_mu) kron L_mu. The two K terms are added blockwise in
+    place, so assembly holds at most one Kronecker product besides the
+    result."""
     h = model.hamiltonian
-    gen = -1j * (left_mult(h) - right_mult(h))
+    d = h.shape[0]
+    k = -1j * h
+    gen = np.zeros((d * d, d * d), dtype=complex)
     for coupling in model.channels:
-        gen = gen + dissipator(coupling)
+        k -= 0.5 * (coupling.conj().T @ coupling)
+        gen += np.kron(coupling.conj(), coupling)
+    blocks = gen.reshape(d, d, d, d)  # blocks[i, a, j, b] = gen[i d + a, j d + b]
+    for i in range(d):
+        blocks[i, :, i, :] += k
+        blocks[:, i, :, i] += k.conj()
     return gen
+
+
+# ---------------------------------------------------------------------------
+# Gell-Mann coordinates
+
+def _gell_mann_diagonal(d: int) -> np.ndarray:
+    """Orthogonal (d, d) matrix whose columns are the diagonals of I/sqrt(d)
+    and of the traceless diag(1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1)),
+    l = 1 .. d - 1."""
+    out = np.zeros((d, d))
+    out[:, 0] = 1.0 / math.sqrt(d)
+    for level in range(1, d):
+        norm = math.sqrt(level * (level + 1))
+        out[:level, level] = 1.0 / norm
+        out[level, level] = -level / norm
+    return out
+
+
+def _basis_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """vec indices of the diagonal entries, and of (j, k) and (k, j), j < k."""
+    j, k = np.triu_indices(d, 1)
+    return np.arange(d) * (d + 1), j + k * d, k + j * d
+
+
+_PAIR_CHUNK = 64  # off-diagonal pairs per pass of _to_coherence
+
+
+def _to_coherence(x: np.ndarray, sign: float = 1.0) -> np.ndarray:
+    """U^H x (sign +1) or U^T x (sign -1) along axis 0 of vectorized
+    operators, for the orthonormal Hermitian basis U: I/sqrt(d), the d - 1
+    traceless diagonal Gell-Mann matrices, then (E_jk + E_kj)/sqrt(2) and
+    -i (E_jk - E_kj)/sqrt(2) for every j < k. Coordinate 0 is Tr X/sqrt(d),
+    and a Hermitian X has real coordinates. U acts as a d x d orthogonal
+    block on the diagonal indices and a 2 x 2 block on each (j, k)/(k, j)
+    pair; it is never formed densely."""
+    d = math.isqrt(x.shape[0])
+    diag, upper, lower = _basis_indices(d)
+    p = upper.size
+    out = numkit.empty(x.shape, complex, order="C")
+    out[:d] = _gell_mann_diagonal(d).T @ x[diag]
+    for start in range(0, p, _PAIR_CHUNK):  # chunks keep the temporaries small
+        pairs = slice(start, start + _PAIR_CHUNK)
+        high, low = x[upper[pairs]], x[lower[pairs]]
+        out[d:d + p][pairs] = math.sqrt(0.5) * (high + low)
+        out[d + p:][pairs] = sign * 1j * math.sqrt(0.5) * (high - low)
+    return out
+
+
+def _from_coherence(c: np.ndarray) -> np.ndarray:
+    """U c along axis 0: the vectorized operator with Gell-Mann coordinates c."""
+    d = math.isqrt(c.shape[0])
+    diag, upper, lower = _basis_indices(d)
+    p = upper.size
+    sym, anti = math.sqrt(0.5) * c[d:d + p], 1j * math.sqrt(0.5) * c[d + p:]
+    out = np.empty(c.shape, dtype=complex)
+    out[diag] = _gell_mann_diagonal(d) @ c[:d]
+    out[upper] = sym - anti
+    out[lower] = sym + anti
+    return out
+
+
+def _coherence_generator(generator: np.ndarray, tol: ToleranceSet) -> np.ndarray:
+    """U^H L U, which is real and of the form [[0, 0], [b, L']] because L
+    preserves hermiticity and trace; L' is the generator on the traceless
+    subspace. An imaginary part above ``tol.herm * ||L||_F`` or a first row
+    above ``tol.trace * ||L||_F`` raises :class:`NumericalError`."""
+    scale = float(np.linalg.norm(generator))
+    full = _to_coherence(_to_coherence(generator).T, sign=-1.0).T
+    imag = float(np.linalg.norm(full.imag))
+    if imag > tol.herm * scale:
+        raise NumericalError(
+            f"generator does not preserve hermiticity: imaginary part {imag:.3e} "
+            f"in Gell-Mann coordinates exceeds {tol.herm:.1e} * {scale:.3e}")
+    top = float(np.linalg.norm(full[0].real))
+    if top > tol.trace * scale:
+        raise NumericalError(
+            f"generator does not preserve the trace: trace row {top:.3e} "
+            f"exceeds {tol.trace:.1e} * {scale:.3e}")
+    return full.real
 
 
 # ---------------------------------------------------------------------------
@@ -309,80 +410,70 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StationaryState:
-    """Unique stationary density matrix, spectral gap, and solve residual."""
+    """Unique stationary density matrix, spectral gap and solve residual,
+    with the Schur factorization of the traceless block L' that certified
+    them; every resolvent of the generator reuses ``factor``."""
 
     rho: np.ndarray
     gap: float
     residual: float
-
-
-def _deflated(generator: np.ndarray, omega: float) -> tuple[np.ndarray, np.ndarray]:
-    """M(omega) = -i omega - L + s u t and the stationary right-hand side s u,
-    with u = vec(I)/d, t the trace row (t u = 1) and s = max |L_kk|, so that
-    the shift scales with the rates; u t lives on the d x d block of vec(I)
-    indices, every (d + 1)-th row and column."""
-    n = generator.shape[0]
-    d = math.isqrt(n)
-    shift = float(np.max(np.abs(np.diagonal(generator))))
-    m = np.negative(generator)
-    m.flat[::n + 1] -= 1j * omega
-    m[::d + 1, ::d + 1] += shift / d
-    return m, shift / d * trace_vector(d)
+    factor: numkit.SchurFactor = field(repr=False, compare=False)
 
 
 def steady_state(generator: np.ndarray,
                  tol: ToleranceSet = DEFAULT_TOL) -> StationaryState:
     """Stationary state of a mixing generator.
 
-    The full spectrum is computed to verify mixing (exactly one eigenvalue
-    within gap_tol of zero, every other real part below -gap_tol, where
-    gap_tol = gap_rel * max |eigenvalue|). The state itself solves
-    M(0) rho = s u with the deflated generator of :func:`_deflated`, whose
-    spectrum {s} u {-lambda_k} (Brauer) excludes zero, and is cross-checked
-    against the eigensolver's zero mode. Its residual ||L vec(rho)|| must
-    stay below trace * ||L||_F, so the check does not depend on the rate unit.
+    In Gell-Mann coordinates (:func:`_coherence_generator`) the generator is
+    the real [[0, 0], [b, L']], so its spectrum is {0} u spec(L'), and L' is
+    factored once, L' = Z T Z^H (:class:`~ioqfr.numkit.SchurFactor`). Mixing
+    is read from diag(T): with gap_tol = gap_rel * max |T_kk|, an entry
+    within gap_tol of zero means the stationary direction is not unique, and
+    the gap -max Re T_kk must exceed gap_tol; either failure raises
+    :class:`NotMixing`. The state is rho = I/d + sum_k x_k B_k with
+    L' x = -b/sqrt(d), solved through the factor and cross-checked against
+    one dense LU of L'. Its residual ||L vec(rho)|| must stay below
+    trace * ||L||_F, so no check depends on the rate unit.
     """
     generator = np.asarray(generator, dtype=complex)
     d2 = generator.shape[0]
     d = math.isqrt(d2)
     if generator.ndim != 2 or generator.shape != (d2, d2) or d * d != d2:
         raise DimMismatch(f"generator shape {generator.shape} is not (d^2, d^2)")
-
-    eigres = numkit.eig(generator)
-    values = eigres.values
-    scale = float(np.max(np.abs(values))) if values.size else 0.0
-    gap_tol = tol.gap_rel * scale
-    if scale == 0.0:
+    if not np.any(generator):
         raise NotMixing("generator is identically zero")
 
-    zero_idx = int(np.argmin(np.abs(values)))
+    full = _coherence_generator(generator, tol)
+    drift = full[1:, 0] / math.sqrt(d)
+    block = numkit.empty((d2 - 1, d2 - 1), float, order="C")
+    block[...] = full[1:, 1:]
+    del full
+    factor = numkit.SchurFactor(block, tol)
+
+    values = factor.eigenvalues
+    gap_tol = tol.gap_rel * float(np.max(np.abs(values)))
     near_zero = np.flatnonzero(np.abs(values) <= gap_tol)
-    if near_zero.size == 0:
+    if near_zero.size:
         raise NotMixing(
-            f"no eigenvalue within {gap_tol:.3e} of zero; closest is "
-            f"{values[zero_idx]:.6e}")
-    if near_zero.size != 1 or near_zero[0] != zero_idx:
-        offenders = values[near_zero]
-        raise NotMixing(
-            "stationary direction is not unique; eigenvalues near zero: "
-            + ", ".join(f"{z:.6e}" for z in offenders))
-    rest = np.delete(values, zero_idx)
-    gap = float(-np.max(rest.real))
+            "stationary direction is not unique; eigenvalues near zero: 0, "
+            + ", ".join(f"{z:.6e}" for z in values[near_zero]))
+    slowest = values[np.argmax(values.real)]
+    gap = float(-slowest.real)
     if gap <= gap_tol:
-        worst = rest[np.argmax(rest.real)]
         raise NotMixing(
             f"spectral gap {gap:.3e} is below threshold {gap_tol:.3e} "
-            f"(slowest nonzero eigenvalue {worst:.6e})")
+            f"(slowest nonzero eigenvalue {slowest:.6e})")
 
-    m, rhs = _deflated(generator, 0.0)
-    factor = numkit.LUFactor(m, tol)
-    x = factor.solve(rhs)
-    x = x + factor.solve(rhs - m @ x)  # one refinement step
-    rho = numkit.hermitize(unvec(x))
-    tr = np.trace(rho).real
-    if abs(tr - 1.0) > tol.trace * max(1.0, abs(tr)):
-        raise NumericalError(f"stationary trace {tr!r} is not 1 within tolerance")
-    rho = rho / tr
+    check = numkit.LUFactor(block, tol)
+    reference, cond = check.solve(-drift), 1.0 / check.rcond
+    del check, block  # freed before the factor's solve buffer exists
+    x = factor.solve(0.0, drift[:, None])[:, 0]
+    defect = float(np.linalg.norm(x - reference))
+    limit = tol.solve_residual * cond * float(np.linalg.norm(x))
+    if defect > limit:
+        raise NumericalError(
+            f"Schur and LU stationary solves disagree by {defect:.3e} (limit {limit:.3e})")
+    rho = numkit.hermitize(unvec(_from_coherence(np.concatenate([[1.0 / math.sqrt(d)], x]))))
 
     eigs = np.linalg.eigvalsh(rho)
     if eigs[0] < -tol.psd:
@@ -394,18 +485,8 @@ def steady_state(generator: np.ndarray,
     if residual > limit:
         raise NumericalError(f"stationary residual {residual:.3e} exceeds {limit:.3e}")
 
-    v0 = eigres.vectors[:, zero_idx]
-    overlap = trace_vector(d) @ v0
-    if abs(overlap) < 1e-12:
-        raise NotMixing("zero mode is traceless; no stationary density matrix")
-    rho_eig = unvec(v0 / overlap)
-    defect = np.linalg.norm(rho_eig - rho)
-    if defect > 1e-9 * max(1.0, float(np.linalg.norm(rho))):
-        raise NumericalError(
-            f"deflated solve and eigensolver zero mode disagree by {defect:.3e}")
-
     rho.setflags(write=False)
-    return StationaryState(rho=rho, gap=gap, residual=residual)
+    return StationaryState(rho=rho, gap=gap, residual=residual, factor=factor)
 
 
 def project_traceless(operator: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -447,47 +528,61 @@ def perturbation_state(model: LindbladModel, q: int, rho: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 # resolvent
 
-class Resolvent:
-    """Factorized (-i omega - L), restricted to traceless sources.
+def _traceless_coordinates(sources: np.ndarray, tol: ToleranceSet) -> np.ndarray:
+    """Gell-Mann coordinates 1..n-1 of an (n, k) block of vectorized
+    sources; a source whose trace exceeds ``tol.trace`` times its norm raises
+    :class:`SourceNotTraceless`."""
+    coords = _to_coherence(sources)
+    d = math.isqrt(sources.shape[0])
+    norms = np.linalg.norm(sources, axis=0)
+    traces = math.sqrt(d) * np.abs(coords[0])
+    leaks = np.flatnonzero(traces > tol.trace * norms)
+    if leaks.size:
+        k = leaks[0]
+        raise SourceNotTraceless(
+            f"source {k} trace {traces[k]:.3e} exceeds "
+            f"{tol.trace:.1e} * norm {norms[k]:.3e}")
+    return coords[1:]
 
-    It factors M = -i omega - L + s u t (:func:`_deflated`), whose spectrum
-    {s - i omega} u {-i omega - lambda_k} (Brauer) excludes zero at every real
-    omega; t M = (s - i omega) t, so a traceless y solves to a traceless x.
+
+class Resolvent:
+    """(-i omega - L)^(-1) on traceless sources, from the one Schur
+    factorization L' = Z T Z^H of the generator's traceless block.
+
+    A traceless source has no I/sqrt(d) coordinate, and on the traceless
+    subspace -i omega - L is -i omega - L' = Z (-i omega - T) Z^H, so every
+    application is one triangular solve; for a mixing generator spec(L')
+    lies in Re < 0 and -i omega - T is nonsingular at every real omega.
+    Building a Resolvent costs nothing; each application is gated on the
+    condition of -i omega - T (:class:`~ioqfr.numkit.SchurFactor`).
     """
 
-    def __init__(self, generator: np.ndarray, omega: float,
+    def __init__(self, factor: numkit.SchurFactor, omega: float,
                  tol: ToleranceSet = DEFAULT_TOL):
-        generator = np.asarray(generator, dtype=complex)
-        d2 = generator.shape[0]
-        d = math.isqrt(d2)
-        if generator.shape != (d2, d2) or d * d != d2:
-            raise DimMismatch(f"generator shape {generator.shape} is not (d^2, d^2)")
         self.omega = float(omega)
+        self._factor = factor
         self._tol = tol
-        self._dim = d
-        self._trace_vec = trace_vector(d)
-        m, _ = _deflated(generator, self.omega)
+
+    def apply(self, block: np.ndarray) -> np.ndarray:
+        """(-i omega - T)^(-1) on an (n - 1, k) block given in Schur
+        coordinates Z^H c, with c the traceless Gell-Mann coordinates."""
         try:
-            self._factor = numkit.LUFactor(m, tol)
+            return self._factor.solve_triangular(-1j * self.omega, block)
         except SingularMatrix as err:
             raise SingularMatrix(f"resolvent at omega={self.omega!r}: {err}") from err
 
     def apply_many(self, sources: np.ndarray) -> np.ndarray:
         """(-i omega - L)^(-1) applied to each traceless column of an (n, k)
-        block of vectorized sources, from the one factorization."""
+        block of vectorized sources; the results are traceless."""
         sources = np.asarray(sources, dtype=complex)
-        if sources.ndim != 2 or sources.shape[0] != self._dim ** 2:
+        n = self._factor.order + 1
+        if sources.ndim != 2 or sources.shape[0] != n:
             raise DimMismatch(
-                f"source block shape {sources.shape} does not match dim {self._dim}")
-        norms = np.linalg.norm(sources, axis=0)
-        traces = np.abs(self._trace_vec @ sources)
-        leaks = np.flatnonzero(traces > self._tol.trace * norms)
-        if leaks.size:
-            k = leaks[0]
-            raise SourceNotTraceless(
-                f"source {k} trace {traces[k]:.3e} exceeds "
-                f"{self._tol.trace:.1e} * norm {norms[k]:.3e}")
-        return self._factor.solve(sources)
+                f"source block shape {sources.shape} does not match dim {math.isqrt(n)}")
+        factor = self._factor
+        solved = factor.from_schur(
+            self.apply(factor.to_schur(_traceless_coordinates(sources, self._tol))))
+        return _from_coherence(np.vstack([np.zeros((1, solved.shape[1])), solved]))
 
 
 # ---------------------------------------------------------------------------
@@ -526,27 +621,48 @@ def _realization(model: LindbladModel, rho: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class System:
-    """Model plus its generator matrix, stationary state and the realization
-    (Y, C, D) of its monitored currents (see :func:`_realization`), all
-    computed once; the three realization arrays are None when nothing is
-    monitored."""
+    """Model plus its stationary state and the realization (Y, C, D) of its
+    monitored currents (see :func:`_realization`), all computed once; the
+    three realization arrays are None when nothing is monitored. The dense
+    generator is not kept: the steady state's factor serves every solve, and
+    :attr:`generator` rebuilds the matrix on request. The sources are checked
+    traceless once, here, and the
+    realization is kept also in the Schur coordinates of the steady state's
+    factor: the rows (C U) Z and the columns Z^H (U^H Y), without the
+    identity coordinate, so a frequency costs one triangular solve."""
 
     model: LindbladModel
-    generator: np.ndarray
     steady: StationaryState
     tol: ToleranceSet
     sources: np.ndarray | None = field(init=False, repr=False)
     observables: np.ndarray | None = field(init=False, repr=False)
     direct: np.ndarray | None = field(init=False, repr=False)
+    _schur_rows: np.ndarray | None = field(init=False, repr=False)
+    _schur_sources: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         built = _realization(self.model, self.rho)
         for name, value in zip(("sources", "observables", "direct"), built):
             object.__setattr__(self, name, value)
+        rows = sources = None
+        if self.sources is not None:
+            factor = self.steady.factor
+            sources = factor.to_schur(_traceless_coordinates(self.sources, self.tol))
+            # (C U)[:, 1:] Z = (Z^H (U^H C^H)[1:])^H
+            rows = factor.to_schur(_to_coherence(self.observables.conj().T)[1:]).conj().T
+            for block in (rows, sources):
+                block.setflags(write=False)
+        object.__setattr__(self, "_schur_rows", rows)
+        object.__setattr__(self, "_schur_sources", sources)
 
     @property
     def rho(self) -> np.ndarray:
         return self.steady.rho
+
+    @property
+    def generator(self) -> np.ndarray:
+        """The dense (d^2, d^2) generator, rebuilt by :func:`liouvillian`."""
+        return liouvillian(self.model)
 
     def with_monitored(self, monitored: Sequence[tuple[int, float]]) -> "System":
         """Same dynamics, different monitored currents; reuses the heavy parts."""
@@ -556,26 +672,22 @@ class System:
             monitored=tuple(monitored),
             signal=self.model.signal,
         )
-        return System(model=model, generator=self.generator,
-                      steady=self.steady, tol=self.tol)
+        return System(model=model, steady=self.steady, tol=self.tol)
 
     def resolvent(self, omega: float) -> Resolvent:
-        return Resolvent(self.generator, omega, tol=self.tol)
+        return Resolvent(self.steady.factor, omega, tol=self.tol)
 
     def transfer(self, omega: float) -> np.ndarray:
         """H(omega) = C (-i omega - L)^(-1) Y, the (m, m + p) transfer matrix
-        of the monitored currents, from one factorization."""
+        of the monitored currents, from one triangular solve."""
         if self.sources is None:
             raise ValueError("model has no monitored currents")
-        return self.observables @ self.resolvent(omega).apply_many(self.sources)
+        return self._schur_rows @ self.resolvent(omega).apply(self._schur_sources)
 
 
 def prepare(model: LindbladModel, tol: ToleranceSet = DEFAULT_TOL) -> System:
-    """Build the generator and stationary state for repeated evaluation."""
-    gen = liouvillian(model)
-    steady = steady_state(gen, tol=tol)
-    gen.setflags(write=False)
-    return System(model=model, generator=gen, steady=steady, tol=tol)
+    """Build the stationary state and its factor for repeated evaluation."""
+    return System(model=model, steady=steady_state(liouvillian(model), tol=tol), tol=tol)
 
 
 def as_system(model_or_system: LindbladModel | System,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ioqfr import bounds
 from ioqfr.bounds import (
     activity_matrix,
     certify_bound,
@@ -135,6 +136,27 @@ def test_certificate_covariant_under_rate_scale():
         np.testing.assert_array_equal(report.passed, reports[1].passed)
         np.testing.assert_allclose(report.lambda_max, reports[1].lambda_max,
                                    rtol=1e-9, atol=0)
+
+
+def test_verdict_is_scale_free(monkeypatch):
+    # rank-one activity (two kinetic signals on one channel): the support
+    # leak is rounding in rate units, so it must be judged against lambda_max(A)
+    omegas = np.array([0.0, 0.7, 2.0])
+    honest = bounds.response_to_noise
+    for scale in (1.0, 1e3, 1e6, 1e9, 1e12):
+        base = rf_model(RfParams(kappa=scale, rabi=scale), theta=np.pi / 2)
+        system = prepare(LindbladModel(
+            hamiltonian=base.hamiltonian, channels=base.channels,
+            monitored=base.monitored, signal=kinetic_signal(np.array([[0.1, 0.37]]))))
+        report = certify_bound(system, scale * omegas)
+        assert report.all_passed, (scale, report.notes)
+        # J pushed 1 % above the bound at every frequency must fail
+        top = dict(zip(scale * omegas, report.lambda_max))
+        monkeypatch.setattr(bounds, "response_to_noise",
+                            lambda r, s, rel: 1.01 / top[r.omega] * honest(r, s, rel))
+        inflated = certify_bound(system, scale * omegas)
+        monkeypatch.undo()
+        assert not inflated.passed.any(), scale
 
 
 def test_activity_degenerate():

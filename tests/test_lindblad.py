@@ -1,8 +1,15 @@
+import argparse
+import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from ioqfr import lindblad, numkit
-from ioqfr.errors import NotMixing, SourceNotTraceless
+from ioqfr import cli, lindblad, numkit
+from ioqfr.bounds import activity_matrix, evaluate_point
+from ioqfr.errors import NotMixing, NumericalError, SourceNotTraceless
 from ioqfr.hilbert import pauli
 from ioqfr.lindblad import (
     LindbladModel,
@@ -17,9 +24,9 @@ from ioqfr.lindblad import (
     unvec,
     vec,
 )
-from ioqfr.models import KerrCatParams, kerr_cat_model
-from ioqfr.numkit import DEFAULT_TOL
-from ioqfr.response import response_matrix
+from ioqfr.models import KerrCatParams, classical_jump_model, kerr_cat_model
+from ioqfr.numkit import DEFAULT_TOL, psd_inv_sqrt
+from ioqfr.response import real_embedding, response_matrix
 from ioqfr.spectra import matrix_spectrum
 
 
@@ -154,7 +161,7 @@ def test_project_traceless():
 
 def test_with_monitored_reuses_dynamics(rf_unit):
     rotated = rf_unit.with_monitored([(0, 0.3)])
-    assert rotated.generator is rf_unit.generator
+    np.testing.assert_array_equal(rotated.generator, rf_unit.generator)
     assert rotated.steady is rf_unit.steady
     assert rotated.model.monitored == ((0, 0.3),)
 
@@ -193,3 +200,99 @@ def test_kerr_strong_pump_not_mixing():
     with pytest.raises(NotMixing):
         as_system(kerr_cat_model(
             KerrCatParams(n_cut=24, bias=0.0, detuning=0.0, two_photon=8.0)))
+
+
+def test_not_mixing_weakly_coupled_blocks():
+    # two fast two-state blocks joined by rates 1e-10: the slow eigenvalue
+    # (about -2e-10) sits within gap_rel * max|T_kk| of zero in diag(T)
+    rates = np.zeros((4, 4))
+    rates[0, 1] = rates[1, 0] = rates[2, 3] = rates[3, 2] = 1.0
+    rates[1, 2] = rates[2, 1] = 1e-10
+    with pytest.raises(NotMixing, match="not unique"):
+        prepare(classical_jump_model(rates, np.zeros((4, 4))))
+
+
+def test_generator_must_preserve_trace_and_hermiticity():
+    with pytest.raises(NumericalError, match="trace"):
+        steady_state(-np.eye(4, dtype=complex))
+    with pytest.raises(NumericalError, match="hermiticity"):
+        steady_state(1j * np.eye(4))
+
+
+def test_gell_mann_coordinates():
+    rng = np.random.default_rng(5)
+    d = 4
+    x = rng.standard_normal((d * d, 3)) + 1j * rng.standard_normal((d * d, 3))
+    coords = lindblad._to_coherence(x)
+    np.testing.assert_allclose(np.linalg.norm(coords, axis=0), np.linalg.norm(x, axis=0))
+    np.testing.assert_allclose(lindblad._from_coherence(coords), x, atol=1e-14)
+    np.testing.assert_allclose(coords[0], lindblad.trace_vector(d) @ x / math.sqrt(d))
+    np.testing.assert_allclose(lindblad._to_coherence(x, sign=-1.0),
+                               lindblad._to_coherence(x.conj()).conj(), atol=1e-14)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    assert np.max(np.abs(lindblad._to_coherence(vec(g + g.conj().T)[:, None]).imag)) \
+        <= 1e-14
+
+
+def _two_currents():
+    path = Path(__file__).resolve().parent / "golden" / "custom_two_currents.json"
+    spec = cli._resolve_model(argparse.Namespace(model=str(path), param=None, theta=None))
+    return prepare(spec.model("sweep"))
+
+
+def _dense_transfer(system, omega):
+    """C (-i omega - L)^(-1) Y from one dense numpy solve. The trace row and
+    vec(I) column border the matrix, which keeps it nonsingular at omega = 0
+    and pins the solution traceless; at omega != 0 the border is inert."""
+    gen = system.generator
+    n = gen.shape[0]
+    unit = vec(np.eye(math.isqrt(n)))
+    bordered = np.zeros((n + 1, n + 1), dtype=complex)
+    bordered[:n, :n] = -1j * omega * np.eye(n) - gen
+    bordered[:n, n] = unit
+    bordered[n, :n] = unit.conj()
+    rhs = np.vstack([system.sources, np.zeros((1, system.sources.shape[1]))])
+    return system.observables @ np.linalg.solve(bordered, rhs)[:n]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: None,
+    lambda: prepare(kerr_cat_model(KerrCatParams(n_cut=6))),
+    _two_currents,
+], ids=["rf", "kerr_cat_6", "custom_two_currents"])
+def test_transfer_matches_dense_solve(build, rf_unit):
+    system = build() or rf_unit
+    for omega in (0.0, 1e-12, 0.83, -0.83, 40.0):
+        got = system.transfer(omega)
+        want = _dense_transfer(system, omega)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), omega
+    for omega in (0.0, 0.83, 40.0):
+        s = matrix_spectrum(system, omega).complex_matrix
+        s_neg = matrix_spectrum(system, -omega).complex_matrix
+        np.testing.assert_allclose(s_neg, s.T, rtol=0, atol=1e-12 * np.max(np.abs(s)))
+
+
+def test_evaluate_point_thread_safe():
+    # IOQFR_THREADS > 1 evaluates points of one System concurrently; each
+    # thread shifts its own copy of the triangle, so results are bit-identical
+    system = prepare(kerr_cat_model(KerrCatParams(n_cut=8)))
+    activity = activity_matrix(system)
+    normalizer = real_embedding(psd_inv_sqrt(activity))
+    omegas = np.linspace(-4.0, 4.0, 64)
+    serial = [evaluate_point(system, activity, normalizer, w, DEFAULT_TOL) for w in omegas]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(evaluate_point, system, activity, normalizer, w,
+                                   DEFAULT_TOL) for w in omegas]
+            threaded = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for one, other in zip(serial, threaded):
+        for name in ("lambda_max", "margin_min", "support_leak"):
+            assert getattr(one, name) == getattr(other, name)
+        for a, b in ((one.noise.complex_matrix, other.noise.complex_matrix),
+                     (one.response.complex_matrix, other.response.complex_matrix),
+                     (one.j_matrix, other.j_matrix)):
+            assert np.array_equal(a, b)

@@ -2,9 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ioqfr import numkit
-from ioqfr.errors import NotPSD, SingularMatrix
+from ioqfr.errors import NotPSD, NumericalError, SingularMatrix
 from ioqfr.numkit import DEFAULT_TOL, ToleranceSet
 
 
@@ -121,3 +122,41 @@ def test_psd_inv_sqrt_asymmetry_is_relative():
 def test_psd_inv_sqrt_zero_matrix():
     n = numkit.psd_inv_sqrt(np.zeros((3, 3)))
     np.testing.assert_allclose(n, 0.0)
+
+
+def test_schur_factor_matches_rsf2csf():
+    # a real matrix with complex pairs and real eigenvalues
+    rng = np.random.default_rng(6)
+    a = rng.standard_normal((12, 12))
+    factor = numkit.SchurFactor(a)
+    eye = np.eye(12)
+    z = factor.from_schur(eye)
+    np.testing.assert_allclose(factor.to_schur(eye), z.conj().T, atol=1e-14)
+    np.testing.assert_allclose(z.conj().T @ z, eye, atol=1e-13)
+    t = factor.to_schur(a @ z)
+    np.testing.assert_allclose(np.tril(t, -1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(np.diagonal(t), factor.eigenvalues, atol=1e-12)
+    reference, _ = scipy.linalg.rsf2csf(*scipy.linalg.schur(a, output="real"))
+    gaps = np.abs(factor.eigenvalues[:, None] - np.diagonal(reference)[None, :])
+    assert gaps.min(axis=0).max() <= 1e-12 and gaps.min(axis=1).max() <= 1e-12
+
+
+def test_schur_factor_shifted_solve():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((9, 9))
+    b = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+    factor = numkit.SchurFactor(a)
+    for shift in (0.0, 0.4 - 2.0j, 30.0j):
+        want = np.linalg.solve(shift * np.eye(9) - a, b)
+        np.testing.assert_allclose(factor.solve(shift, b), want, rtol=1e-10, atol=1e-12)
+
+
+def test_schur_factor_gates():
+    a = np.diag([-1.0, 0.0, -2.0])
+    with pytest.raises(SingularMatrix, match="condition number"):
+        numkit.SchurFactor(a).solve(0.0, np.ones((3, 1)))
+    with pytest.raises(NumericalError, match="backward error"):
+        numkit.SchurFactor(np.random.default_rng(8).standard_normal((6, 6)),
+                           DEFAULT_TOL.replacing(schur_backward=1e-30))
+    with pytest.raises(NumericalError, match="real"):
+        numkit.SchurFactor(np.eye(2, dtype=complex))
