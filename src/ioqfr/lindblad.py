@@ -466,7 +466,7 @@ def steady_state(generator: np.ndarray,
 
     check = numkit.LUFactor(block, tol)
     reference, cond = check.solve(-drift), 1.0 / check.rcond
-    del check, block  # freed before the factor's solve buffer exists
+    del check, block  # freed before the solve allocates its triangle
     x = factor.solve(0.0, drift[:, None])[:, 0]
     defect = float(np.linalg.norm(x - reference))
     limit = tol.solve_residual * cond * float(np.linalg.norm(x))
