@@ -362,7 +362,7 @@ def _to_coherence(x: np.ndarray, sign: float = 1.0) -> np.ndarray:
     d = math.isqrt(x.shape[0])
     diag, upper, lower = _basis_indices(d)
     p = upper.size
-    out = numkit.empty(x.shape, complex, order="C")
+    out = np.empty(x.shape, dtype=complex)
     out[:d] = _gell_mann_diagonal(d).T @ x[diag]
     for start in range(0, p, _PAIR_CHUNK):  # chunks keep the temporaries small
         pairs = slice(start, start + _PAIR_CHUNK)
@@ -445,8 +445,7 @@ def steady_state(generator: np.ndarray,
 
     full = _coherence_generator(generator, tol)
     drift = full[1:, 0] / math.sqrt(d)
-    block = numkit.empty((d2 - 1, d2 - 1), float, order="C")
-    block[...] = full[1:, 1:]
+    block = full[1:, 1:].copy()
     del full
     factor = numkit.SchurFactor(block, tol)
 
@@ -466,7 +465,7 @@ def steady_state(generator: np.ndarray,
 
     check = numkit.LUFactor(block, tol)
     reference, cond = check.solve(-drift), 1.0 / check.rcond
-    del check, block  # freed before the solve allocates its triangle
+    del check, block
     x = factor.solve(0.0, drift[:, None])[:, 0]
     defect = float(np.linalg.norm(x - reference))
     limit = tol.solve_residual * cond * float(np.linalg.norm(x))

@@ -8,9 +8,7 @@ explicitly; nothing in this module reads ambient global state.
 from __future__ import annotations
 
 import dataclasses
-import mmap
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +23,6 @@ __all__ = [
     "EigenResult",
     "LUFactor",
     "SchurFactor",
-    "empty",
     "eig",
     "pinv",
     "psd_inv_sqrt",
@@ -51,7 +48,6 @@ class ToleranceSet:
     gap_rel: float = 1e-8           # mixing-gap threshold relative to generator scale
     spectrum_psd: float = 1e-8      # eigenvalue floor for output noise matrices
     bound_margin: float = 1e-8      # certificate slack, relative to the largest activity eigenvalue
-    schur_backward: float = 1e-12   # relative backward error allowed for a Schur factorization
     activity_floor: float = 1e-12   # smallest usable activity diagonal (rate units)
 
     def replacing(self, **overrides: float) -> "ToleranceSet":
@@ -71,8 +67,7 @@ def _as_square(a: np.ndarray, dtype: type = complex) -> np.ndarray:
 
 
 class LUFactor:
-    """LU factorization of a square real or complex matrix, gated on
-    conditioning; a real matrix is factored in real arithmetic.
+    """LU factorization of a square complex matrix, gated on conditioning.
 
     The reciprocal condition number is estimated from the factors (LAPACK
     gecon); factorization fails with :class:`SingularMatrix` when the
@@ -80,7 +75,7 @@ class LUFactor:
     """
 
     def __init__(self, a: np.ndarray, tol: ToleranceSet = DEFAULT_TOL):
-        a = _as_square(a, float if np.isrealobj(a) else complex)
+        a = _as_square(a)
         self._a = a
         self._a_fro = np.linalg.norm(a)
         self._tol = tol
@@ -91,8 +86,7 @@ class LUFactor:
         if anorm == 0.0:
             rcond = 0.0
         else:
-            gecon = lapack.dgecon if a.dtype == float else lapack.zgecon
-            rcond, info = gecon(self._lu, anorm, norm="1")
+            rcond, info = lapack.zgecon(self._lu, anorm, norm="1")
             if info != 0:
                 raise SingularMatrix(f"condition estimate failed (info={info})")
         self.rcond = float(rcond)
@@ -103,7 +97,7 @@ class LUFactor:
         return self._a.shape
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=np.result_type(b, self._a))
+        b = np.asarray(b, dtype=complex)
         x = scipy.linalg.lu_solve((self._lu, self._piv), b)
         _check_residual(self._a @ x - b, self._a_fro, x, b, self._tol)
         return x
@@ -128,29 +122,21 @@ def _check_residual(defect: np.ndarray, a_fro: float, x: np.ndarray, b: np.ndarr
             f"{tol.solve_residual:.1e} * {scale:.3e}")
 
 
-_ROTATION_CHUNK = 64  # columns per pass of _rotate_rows and _backward_error
-_MAPPED_BYTES = 1 << 22  # arrays from this size up get a memory map of their own
-
-
 class SchurFactor:
     """Schur form a = Z T Z^H of a real square matrix, for solves with
     (shift - a) at many complex shifts.
 
     The real Schur form a = Q R Q^T (LAPACK gees) is factored once; its
-    backward error ||a Q - Q R||_F must stay below ``tol.schur_backward``
-    times ||a||_F. It is made complex upper triangular by the Givens
-    rotations of ``scipy.linalg.rsf2csf``, one per 2 x 2 block of R: with
-    G the block-diagonal unitary of those rotations, Z = Q G^H and
-    T = G R G^H. The 2 x 2 blocks are disjoint, so the rotations commute and
-    are applied to all blocks at once. Only Q, the rotations and -T in
-    packed storage are kept, about one complex n x n matrix in all;
-    :meth:`to_schur` and :meth:`from_schur` apply Z^H and Z, and
-    :attr:`eigenvalues` is diag(T).
+    backward error ||a Q - Q R||_F must stay below ``tol.solve_residual``
+    times ||a||_F. ``scipy.linalg.rsf2csf`` then makes it complex upper
+    triangular. Z and -T, packed (LAPACK trttp), are kept read-only, and
+    :attr:`eigenvalues` is diag(T). Packing halves the memory -T holds for
+    the lifetime of the factor.
 
     Every shifted solve is one triangular solve, gated on its condition
     estimate (LAPACK trcon) against ``tol.cond_max`` and residual-checked
-    like :class:`LUFactor`. It unpacks -T into a buffer of its own and sets
-    that diagonal to shift - T_kk, so concurrent solves share nothing
+    like :class:`LUFactor`. It unpacks -T into a triangle of its own and
+    sets that diagonal to shift - T_kk, so concurrent solves share nothing
     mutable.
     """
 
@@ -163,54 +149,41 @@ class SchurFactor:
             r, q = scipy.linalg.schur(a, output="real")
         except np.linalg.LinAlgError as err:
             raise ConvergenceFailure(f"Schur factorization did not converge: {err}") from err
-        backward = _backward_error(a, q, r)
-        self._q = empty(q.shape, float)
-        self._q[...] = q
-        del q
-        self._lo, self._rotations = _schur_rotations(r)
-        t = empty(r.shape, complex)
-        t[...] = r
-        del r
-        _rotate_rows(t, self._lo, self._rotations)
-        _rotate_rows(t.T, self._lo, self._rotations.conj())
-        backward += float(np.linalg.norm(np.diagonal(t, -1)))  # rounding below the diagonal
+        backward = float(np.linalg.norm(a @ q - q @ r))
         a_fro = float(np.linalg.norm(a))
-        if backward > tol.schur_backward * a_fro:
+        if backward > tol.solve_residual * a_fro:
             raise NumericalError(
                 f"Schur backward error {backward:.3e} exceeds "
-                f"{tol.schur_backward:.1e} * {a_fro:.3e}")
+                f"{tol.solve_residual:.1e} * {a_fro:.3e}")
+        t, self._z = scipy.linalg.rsf2csf(r, q)
+        del r, q
         self.eigenvalues = np.diagonal(t).copy()
         self._strict_fro2 = max(float(np.linalg.norm(t) ** 2
                                       - np.linalg.norm(self.eigenvalues) ** 2), 0.0)
-        n = len(t)
-        self._packed = empty((n * (n + 1) // 2,), complex)
-        for j, start in enumerate(_column_starts(n)):
-            np.negative(t[:j + 1, j], out=self._packed[start:start + j + 1])
-        for array in (self.eigenvalues, self._q, self._rotations, self._packed):
+        self._packed, info = lapack.ztrttp(np.negative(t, out=t))
+        if info != 0:
+            raise NumericalError(f"packing the Schur form failed (info={info})")
+        del t
+        for array in (self.eigenvalues, self._z, self._packed):
             array.setflags(write=False)
 
     @property
     def order(self) -> int:
-        return self._q.shape[0]
+        return self._z.shape[0]
 
     def to_schur(self, b: np.ndarray) -> np.ndarray:
-        """Z^H b = G Q^T b for an (order, k) block."""
-        out = _real_times(self._q.T, np.asarray(b))
-        _rotate_rows(out, self._lo, self._rotations)
-        return out
+        """Z^H b = (b^H Z)^H for an (order, k) block, without a copy of Z^H."""
+        return (np.asarray(b).conj().T @ self._z).conj().T
 
     def from_schur(self, w: np.ndarray) -> np.ndarray:
-        """Z w = Q G^H w for an (order, k) block."""
-        w = np.array(w, dtype=complex)
-        _rotate_rows(w, self._lo, self._rotations.conj().transpose(0, 2, 1))
-        return _real_times(self._q, w)
+        """Z w for an (order, k) block."""
+        return self._z @ w
 
     def solve_triangular(self, shift: complex, rhs: np.ndarray) -> np.ndarray:
         """(shift - T)^(-1) rhs for an (order, k) block in Schur coordinates."""
-        n = self.order
-        shifted = empty((n, n), complex)
-        for j, start in enumerate(_column_starts(n)):
-            shifted[:j + 1, j] = self._packed[start:start + j + 1]
+        shifted, info = lapack.ztpttr(self.order, self._packed)
+        if info != 0:
+            raise NumericalError(f"unpacking the Schur form failed (info={info})")
         diagonal = shift - self.eigenvalues
         np.fill_diagonal(shifted, diagonal)
         rcond, info = lapack.ztrcon(shifted, norm="1")
@@ -228,70 +201,6 @@ class SchurFactor:
     def solve(self, shift: complex, b: np.ndarray) -> np.ndarray:
         """(shift - a)^(-1) b = Z (shift - T)^(-1) Z^H b."""
         return self.from_schur(self.solve_triangular(shift, self.to_schur(b)))
-
-
-def _column_starts(n: int) -> Iterator[int]:
-    """Offsets of the columns of an upper triangle packed column by column."""
-    return (j * (j + 1) // 2 for j in range(n))
-
-
-def empty(shape: tuple[int, ...], dtype: type, order: str = "F") -> np.ndarray:
-    """Uninitialized array. One of _MAPPED_BYTES or more gets an anonymous
-    memory map of its own, so dropping it returns its pages to the system at
-    once instead of leaving freed malloc heap resident; smaller ones come
-    from malloc, which reuses them faster."""
-    nbytes = int(np.prod(shape)) * np.dtype(dtype).itemsize
-    if nbytes < _MAPPED_BYTES:
-        return np.empty(shape, dtype=dtype, order=order)
-    return np.ndarray(shape, dtype, buffer=mmap.mmap(-1, nbytes), order=order)
-
-
-def _backward_error(a: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
-    """||a q - q r||_F, in column chunks, so the temporaries stay small."""
-    total = 0.0
-    for start in range(0, a.shape[0], _ROTATION_CHUNK):
-        cols = slice(start, start + _ROTATION_CHUNK)
-        total += float(np.linalg.norm(a @ q[:, cols] - q @ r[:, cols])) ** 2
-    return total ** 0.5
-
-
-def _schur_rotations(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First indices lo of the 2 x 2 blocks (lo, lo + 1) of a real Schur
-    form, by rsf2csf's test on the subdiagonal, and each block's rotation
-    G = [[conj(c), s], [-s, c]], (c, s) = (mu, R[lo + 1, lo]) / norm, with
-    mu = lambda - R[lo + 1, lo + 1] for an eigenvalue lambda of the block;
-    G R G^H is then upper triangular on the block."""
-    diag, sub = np.diagonal(r), np.diagonal(r, -1)
-    eps = np.finfo(float).eps
-    lo = np.flatnonzero(np.abs(sub) > eps * (np.abs(diag[:-1]) + np.abs(diag[1:])))
-    if np.any(np.diff(lo) == 1):
-        raise NumericalError("real Schur form has overlapping 2 x 2 blocks")
-    a, b, c, d = r[lo, lo], r[lo, lo + 1], r[lo + 1, lo], r[lo + 1, lo + 1]
-    half = 0.5 * (a - d)
-    mu = half + np.sqrt((half * half + b * c).astype(complex))
-    norm = np.sqrt(np.abs(mu) ** 2 + c * c)
-    cos, sin = mu / norm, c / norm
-    rotations = np.stack([np.stack([cos.conj(), sin], -1),
-                          np.stack([-sin, cos], -1)], -2)
-    return lo, rotations
-
-
-def _rotate_rows(x: np.ndarray, lo: np.ndarray, g: np.ndarray) -> None:
-    """In place: rows (lo, lo + 1) of a 2-D x <- g[k] @ rows, for each block
-    k; in column chunks, so the temporaries stay small."""
-    g = g[..., None]
-    for start in range(0, x.shape[1], _ROTATION_CHUNK):
-        cols = slice(start, start + _ROTATION_CHUNK)
-        top, bottom = x[lo, cols], x[lo + 1, cols]
-        x[lo, cols] = g[:, 0, 0] * top + g[:, 0, 1] * bottom
-        x[lo + 1, cols] = g[:, 1, 0] * top + g[:, 1, 1] * bottom
-
-
-def _real_times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a real m and a complex block x, without a complex copy of m."""
-    if not np.iscomplexobj(x):
-        return (m @ x).astype(complex)
-    return m @ x.real + 1j * (m @ x.imag)
 
 
 @dataclass(frozen=True)

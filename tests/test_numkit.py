@@ -157,6 +157,6 @@ def test_schur_factor_gates():
         numkit.SchurFactor(a).solve(0.0, np.ones((3, 1)))
     with pytest.raises(NumericalError, match="backward error"):
         numkit.SchurFactor(np.random.default_rng(8).standard_normal((6, 6)),
-                           DEFAULT_TOL.replacing(schur_backward=1e-30))
+                           DEFAULT_TOL.replacing(solve_residual=1e-30))
     with pytest.raises(NumericalError, match="real"):
         numkit.SchurFactor(np.eye(2, dtype=complex))
