@@ -232,7 +232,8 @@ class BoundReport:
     ``support_leak[i]`` the spectral norm of J outside the support of A, all
     of the complex (p, p) J at ``omegas[i]``. ``passed[i]`` is True iff
     margin_min[i] >= -bound_margin * lambda_max(A) and support_leak[i] stays
-    within the same slack.
+    within the same slack. ``points[i]`` is the :class:`BoundPoint` these
+    entries are read from, with the noise and response matrices.
     """
 
     omegas: np.ndarray
@@ -243,6 +244,7 @@ class BoundReport:
     scalar_ratios: np.ndarray | None
     passed: np.ndarray
     notes: tuple[str, ...]
+    points: tuple[BoundPoint, ...]
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -263,7 +265,7 @@ def certify_bound(model_or_system: LindbladModel | System,
     activity = applicable_activity(system, tol)
     normalizer = real_embedding(numkit.psd_inv_sqrt(activity, tol.pinv_rel))
     omegas = np.asarray(list(omegas), dtype=float)
-    points = [evaluate_point(system, activity, normalizer, w, tol) for w in omegas]
+    points = tuple(evaluate_point(system, activity, normalizer, w, tol) for w in omegas)
 
     scalar = None
     if points and points[0].scalar_ratios is not None:
@@ -278,6 +280,7 @@ def certify_bound(model_or_system: LindbladModel | System,
         scalar_ratios=scalar,
         passed=np.array([pt.passed for pt in points], dtype=bool),
         notes=tuple(pt.note for pt in points),
+        points=points,
         metadata={
             "model_hash": model_fingerprint(system.model),
             "tolerances": {

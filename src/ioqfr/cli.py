@@ -2,10 +2,6 @@
 
 Exit codes: 0 success, 1 configuration or usage error, 2 model or numerical
 failure (non-mixing dynamics, failed certification, failed verify suite).
-
-``sweep`` parallelizes over frequencies when the environment variable
-``IOQFR_THREADS`` is set above 1; rows are buffered and written in ascending
-frequency order either way, so the output bytes do not depend on it.
 """
 from __future__ import annotations
 
@@ -17,17 +13,11 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Sequence
 
 import numpy as np
 
-from .bounds import (
-    applicable_activity,
-    certify_bound,
-    coherent_ceiling_check,
-    evaluate_point,
-)
+from .bounds import certify_bound, coherent_ceiling_check
 from .errors import ConfigError, IoqfrError
 from .lindblad import (
     LindbladModel,
@@ -37,8 +27,7 @@ from .lindblad import (
     tangent_signal,
 )
 from .models import REGISTRY, classical_jump_model
-from .numkit import DEFAULT_TOL, ToleranceSet, psd_inv_sqrt
-from .response import real_embedding
+from .numkit import DEFAULT_TOL, ToleranceSet
 from .verify import SUITES, run_suites
 
 __all__ = ["main", "build_parser"]
@@ -235,7 +224,11 @@ class ModelSpec:
 
     def model(self, command: str) -> LindbladModel:
         """The Lindblad model, monitored at the first requested phase (the
-        registry default when none was requested)."""
+        registry default when none was requested). Only sweep takes more
+        than one phase."""
+        if len(self.thetas) > 1 and command != "sweep":
+            raise ConfigError(f"{command} takes one monitored phase, got "
+                              f"{len(self.thetas)}; only sweep repeats --theta")
         if self.fixed is not None:
             return self.fixed
         build = REGISTRY[self.name].build
@@ -349,22 +342,17 @@ def _cmd_steady(args: argparse.Namespace) -> int:
 
 
 def _sweep_grid(args: argparse.Namespace) -> np.ndarray:
+    wmin, wmax = _number(args.wmin, "--wmin"), _number(args.wmax, "--wmax")
     if args.n < 1:
         raise ConfigError("--n must be at least 1")
-    if args.n > 1 and args.wmax <= args.wmin:
+    if args.n > 1 and wmax <= wmin:
         raise ConfigError("--wmax must exceed --wmin")
-    return np.linspace(args.wmin, args.wmax, args.n)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("IOQFR_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"IOQFR_THREADS={raw!r} is not an integer") from None
-    return max(count, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(wmin, wmax, args.n)
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"the grid from --wmin={wmin!r} to --wmax={wmax!r} "
+                          "overflows")
+    return grid
 
 
 def _point_columns(pt, m: int, n_par: int) -> list[tuple[str, str]]:
@@ -403,6 +391,7 @@ def _bound_model(spec: ModelSpec, command: str) -> LindbladModel:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    """One certificate per requested phase, written out side by side."""
     tol = _parse_tol(args.tol or [])
     spec = _resolve_model(args)
     base_model = _bound_model(spec, "sweep")
@@ -412,37 +401,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for theta in spec.thetas[1:]:
         systems.append(base.with_monitored(
             [(mu, theta) for mu, _ in base_model.monitored]))
-    activity = applicable_activity(base, tol)
-    normalizer = real_embedding(psd_inv_sqrt(activity, tol.pinv_rel))
     m = len(base_model.monitored)
     n_par = base_model.n_params
 
-    def eval_row(w: float) -> tuple[list[str], list[str]]:
-        names, values = ["omega"], [_fmt(w)]
-        for k, system in enumerate(systems):
-            suffix = f"_th{k}" if len(systems) > 1 else ""
-            for name, value in _point_columns(
-                    evaluate_point(system, activity, normalizer, w, tol), m, n_par):
-                names.append(name + suffix)
-                values.append(value)
-        return names, values
+    header = ["omega"]
+    rows = [[_fmt(w)] for w in omegas]
+    for k, system in enumerate(systems):
+        suffix = f"_th{k}" if len(systems) > 1 else ""
+        for row, point in zip(rows, certify_bound(system, omegas, tol).points):
+            columns = _point_columns(point, m, n_par)
+            row.extend(value for _, value in columns)
+        header.extend(name + suffix for name, _ in columns)
 
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(eval_row, omegas))
-    else:
-        rows = [eval_row(w) for w in omegas]
-
-    header = rows[0][0]
     if args.json:
-        _emit_json({"columns": header, "rows": [values for _, values in rows]},
-                   args.out)
+        _emit_json({"columns": header, "rows": rows}, args.out)
         return 0
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(values for _, values in rows)
+    writer.writerows(rows)
     _emit_text(text.getvalue(), args.out)
     return 0
 
@@ -532,7 +509,7 @@ def _add_model_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--param", action="append", metavar="NAME=VALUE",
                      help=_param_help())
     sub.add_argument("--theta", action="append", type=float, metavar="RAD",
-                     help="monitored quadrature phase, repeatable for "
+                     help="monitored quadrature phase; sweep repeats it for "
                      f"per-phase column groups ({_phased()} only)")
     sub.add_argument("--tol", action="append", metavar="NAME=VALUE",
                      help="tolerance override, repeatable")
@@ -540,9 +517,9 @@ def _add_model_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_options(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--wmin", type=float, default=0.0,
+    sub.add_argument("--wmin", default=0.0,
                      help="lowest frequency (default 0)")
-    sub.add_argument("--wmax", type=float, default=5.0,
+    sub.add_argument("--wmax", default=5.0,
                      help="highest frequency (default 5)")
     sub.add_argument("--n", type=int, default=201,
                      help="number of grid points (default 201)")

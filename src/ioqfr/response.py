@@ -73,12 +73,15 @@ def perturbation_superop(model: LindbladModel, q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResponseMatrix:
-    """Complex (m, n_params) response and its real (2m, 2 n_params)
-    lock-in embedding at one frequency."""
+    """Complex (m, n_params) response at one frequency; ``real_matrix``
+    builds its real (2m, 2 n_params) lock-in embedding on each read."""
 
     omega: float
     complex_matrix: np.ndarray
-    real_matrix: np.ndarray
+
+    @property
+    def real_matrix(self) -> np.ndarray:
+        return real_embedding(self.complex_matrix)
 
 
 def response_matrix(model_or_system: LindbladModel | System, omega: float,
@@ -95,9 +98,7 @@ def response_from_transfer(system: System, transfer: np.ndarray,
     system.model.tangents  # raises ValueError when the model has no signal
     cmat = transfer[:, len(system.model.monitored):] + system.direct
     cmat.setflags(write=False)
-    rmat = real_embedding(cmat)
-    rmat.setflags(write=False)
-    return ResponseMatrix(omega=float(omega), complex_matrix=cmat, real_matrix=rmat)
+    return ResponseMatrix(omega=float(omega), complex_matrix=cmat)
 
 
 def complex_response(model_or_system: LindbladModel | System, current: int, q: int,

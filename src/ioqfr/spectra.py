@@ -42,12 +42,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseMatrix:
-    """Hermitian (m, m) spectrum matrix and its real (2m, 2m) lock-in
-    covariance embedding at one frequency."""
+    """Hermitian (m, m) spectrum matrix at one frequency; ``real_matrix``
+    builds its real (2m, 2m) lock-in covariance embedding on each read."""
 
     omega: float
     complex_matrix: np.ndarray
-    real_matrix: np.ndarray
+
+    @property
+    def real_matrix(self) -> np.ndarray:
+        return real_embedding(self.complex_matrix)
 
 
 def matrix_spectrum(model_or_system: LindbladModel | System, omega: float,
@@ -74,9 +77,7 @@ def spectrum_from_transfer(system: System, transfer: np.ndarray, omega: float,
         raise NumericalError(
             f"spectrum matrix at omega={omega!r} has negative eigenvalue {eigs[0]:.3e}")
     cmat.setflags(write=False)
-    rmat = real_embedding(cmat)
-    rmat.setflags(write=False)
-    return NoiseMatrix(omega=float(omega), complex_matrix=cmat, real_matrix=rmat)
+    return NoiseMatrix(omega=float(omega), complex_matrix=cmat)
 
 
 def homodyne_spectrum(model_or_system: LindbladModel | System, channel: int,

@@ -19,7 +19,13 @@ from ioqfr.bounds import (
 )
 from ioqfr.errors import ActivityDegenerate, PureDissipativeViolated
 from ioqfr.lindblad import LindbladModel, kinetic_signal, prepare, tangent_signal
-from ioqfr.models import CavityParams, RfParams, rf_model
+from ioqfr.models import (
+    CavityParams,
+    KerrCatParams,
+    RfParams,
+    kerr_cat_model,
+    rf_model,
+)
 from ioqfr.numkit import DEFAULT_TOL, hermitize, psd_inv_sqrt
 from ioqfr.response import real_embedding, response_matrix
 from ioqfr.spectra import NoiseMatrix, matrix_spectrum
@@ -192,8 +198,7 @@ def test_complex_certificate_embeds_real_formula():
             # drop the smallest eigenvalue of S: both pseudo-inverses truncate
             w, v = np.linalg.eigh(noise.complex_matrix)
             s = hermitize((v[:, 1:] * w[1:]) @ v[:, 1:].conj().T)
-            noise = NoiseMatrix(omega=omega, complex_matrix=s,
-                                real_matrix=real_embedding(s))
+            noise = NoiseMatrix(omega=omega, complex_matrix=s)
             assert np.linalg.matrix_rank(noise.real_matrix, tol=1e-10) == 2
         r_real = response.real_matrix
         want = r_real.T @ np.linalg.pinv(noise.real_matrix,
@@ -213,6 +218,21 @@ def test_certify_driven_emitter(rf_unit):
     np.testing.assert_allclose(report.lambda_max,
                                report.scalar_ratios[:, 0], atol=1e-10)
     assert report.metadata["model_hash"]
+
+
+def test_report_points_match_arrays():
+    # sweep writes its rows from report.points; they must be the very points
+    # the report's arrays summarize
+    report = certify_bound(prepare(kerr_cat_model(KerrCatParams(n_cut=6))),
+                           np.linspace(-3.0, 3.0, 7))
+    assert len(report.points) == len(report.omegas)
+    for i, point in enumerate(report.points):
+        assert point.omega == report.omegas[i]
+        assert point.lambda_max == report.lambda_max[i]
+        assert point.margin_min == report.margin_min[i]
+        assert point.support_leak == report.support_leak[i]
+        assert point.passed == report.passed[i]
+        assert point.note == report.notes[i]
 
 
 def test_certify_invariant_under_signal_scale():

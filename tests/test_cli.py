@@ -78,15 +78,17 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert b"\r" not in paths[0].read_bytes()
 
 
-def test_sweep_thread_pool_same_bytes(monkeypatch, capsys):
+def test_sweep_ignores_ioqfr_threads(monkeypatch, capsys):
+    # sweep has no thread pool, so no value of this variable is read
     argv = ("sweep", "--model", "kerr_cat", "--n", "7")
     monkeypatch.delenv("IOQFR_THREADS", raising=False)
-    code, serial, _ = run(capsys, *argv)
+    code, unset, _ = run(capsys, *argv)
     assert code == 0
-    monkeypatch.setenv("IOQFR_THREADS", "2")
-    code, pooled, _ = run(capsys, *argv)
-    assert code == 0
-    assert pooled == serial
+    for value in ("1", "2", "abc"):
+        monkeypatch.setenv("IOQFR_THREADS", value)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), value
+        assert out == unset, value
 
 
 def test_sweep_multi_theta_header(capsys):
@@ -140,6 +142,34 @@ def test_bound_report_kerr(tmp_path, capsys):
     assert "directional_min" not in report
     assert "seed" not in report["metadata"]
     assert "n_random_directions" not in report["metadata"]
+
+
+@pytest.mark.parametrize("grid, message", [
+    (("--wmin", "nan"), "error: --wmin='nan' is not finite"),
+    (("--wmax", "inf"), "error: --wmax='inf' is not finite"),
+    (("--wmin=-1e308", "--wmax=1e308"), "overflows"),
+], ids=["nan", "inf", "overflow"])
+@pytest.mark.parametrize("command, model", [
+    ("sweep", "rf"), ("bound-report", "rf"), ("bound-report", "cavity"),
+])
+def test_non_finite_grid_exits_1(capsys, recwarn, command, model, grid, message):
+    code, out, err = run(capsys, command, "--model", model, *grid)
+    assert (code, out) == (1, "")
+    assert message in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["steady", "bound-report"])
+def test_one_phase_outside_sweep(tmp_path, capsys, command):
+    config = tmp_path / "rf.json"
+    config.write_text(json.dumps({"model": "rf", "theta": [0.3, 0.9]}))
+    for argv in (("--model", "rf", "--theta", "0.3", "--theta", "0.9"),
+                 ("--model", str(config))):
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out) == (1, ""), argv
+        assert "only sweep repeats --theta" in err, argv
+    code, _, _ = run(capsys, command, "--model", "rf", "--theta", "0.3")
+    assert code == 0
 
 
 def test_bound_report_cavity(capsys):

@@ -277,8 +277,9 @@ def test_transfer_matches_dense_solve(build, rf_unit):
 
 
 def test_evaluate_point_thread_safe():
-    # IOQFR_THREADS > 1 evaluates points of one System concurrently; each
-    # thread shifts its own copy of the triangle, so results are bit-identical
+    # library callers may evaluate points of one System from several threads;
+    # each solve shifts its own copy of the triangle, so results are
+    # bit-identical
     system = prepare(kerr_cat_model(KerrCatParams(n_cut=8)))
     activity = activity_matrix(system)
     normalizer = real_embedding(psd_inv_sqrt(activity))
