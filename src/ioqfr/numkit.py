@@ -8,6 +8,7 @@ explicitly; nothing in this module reads ambient global state.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -133,9 +134,11 @@ class SchurFactor:
     :attr:`eigenvalues` is diag(T). Packing halves the memory -T holds for
     the lifetime of the factor.
 
-    Every shifted solve is one triangular solve, gated on its condition
-    estimate (LAPACK trcon) against ``tol.cond_max`` and residual-checked
-    like :class:`LUFactor`. It unpacks -T into a triangle of its own and
+    Every shifted solve is one triangular solve, gated on its 1-norm
+    condition estimate (:func:`_tri_rcond`, the number LAPACK ztrcon gives)
+    against ``tol.cond_max`` and residual-checked like :class:`LUFactor`.
+    ||shift - T||_1 comes from the strict-upper column sums of |T|, kept
+    from the set-up. Each solve unpacks -T into a triangle of its own and
     sets that diagonal to shift - T_kk, so concurrent solves share nothing
     mutable.
     """
@@ -160,11 +163,17 @@ class SchurFactor:
         self.eigenvalues = np.diagonal(t).copy()
         self._strict_fro2 = max(float(np.linalg.norm(t) ** 2
                                       - np.linalg.norm(self.eigenvalues) ** 2), 0.0)
+        # column sums of the strict upper |T|, 128 columns at a time so that
+        # no temporary of order x order is made
+        self._strict_colsum = np.empty(len(t))
+        for j in range(0, len(t), 128):
+            block = np.abs(t[:j + 128, j:j + 128])
+            self._strict_colsum[j:j + 128] = np.triu(block, 1 - j).sum(axis=0)
         self._packed, info = lapack.ztrttp(np.negative(t, out=t))
         if info != 0:
             raise NumericalError(f"packing the Schur form failed (info={info})")
         del t
-        for array in (self.eigenvalues, self._z, self._packed):
+        for array in (self.eigenvalues, self._strict_colsum, self._z, self._packed):
             array.setflags(write=False)
 
     @property
@@ -179,17 +188,21 @@ class SchurFactor:
         """Z w for an (order, k) block."""
         return self._z @ w
 
-    def solve_triangular(self, shift: complex, rhs: np.ndarray) -> np.ndarray:
-        """(shift - T)^(-1) rhs for an (order, k) block in Schur coordinates."""
+    def _shifted(self, shift: complex) -> tuple[np.ndarray, np.ndarray, float]:
+        """shift - T as an upper triangle owned by the caller, its diagonal
+        and its 1-norm, the largest column sum of |shift - T|."""
         shifted, info = lapack.ztpttr(self.order, self._packed)
         if info != 0:
             raise NumericalError(f"unpacking the Schur form failed (info={info})")
         diagonal = shift - self.eigenvalues
         np.fill_diagonal(shifted, diagonal)
-        rcond, info = lapack.ztrcon(shifted, norm="1")
-        if info != 0:
-            raise SingularMatrix(f"condition estimate failed (info={info})")
-        _check_rcond(float(rcond), self._tol)
+        anorm = float(np.max(self._strict_colsum + np.abs(diagonal), initial=0.0))
+        return shifted, diagonal, anorm
+
+    def solve_triangular(self, shift: complex, rhs: np.ndarray) -> np.ndarray:
+        """(shift - T)^(-1) rhs for an (order, k) block in Schur coordinates."""
+        shifted, diagonal, anorm = self._shifted(shift)
+        _check_rcond(_tri_rcond(shifted, anorm), self._tol)
         rhs = np.asarray(rhs, dtype=complex)
         x, info = lapack.ztrtrs(shifted, rhs)
         if info != 0:
@@ -201,6 +214,62 @@ class SchurFactor:
     def solve(self, shift: complex, b: np.ndarray) -> np.ndarray:
         """(shift - a)^(-1) b = Z (shift - T)^(-1) Z^H b."""
         return self.from_schur(self.solve_triangular(shift, self.to_schur(b)))
+
+
+_SAFMIN = np.finfo(float).tiny   # LAPACK dlamch("S")
+_HAGER_ITMAX = 5                 # zlacn2 ITMAX
+
+
+def _tri_rcond(tri: np.ndarray, anorm: float) -> float:
+    """Reciprocal 1-norm condition estimate 1 / (anorm * est) of an upper
+    triangle whose 1-norm is ``anorm``: the number LAPACK ztrcon returns.
+
+    est is Hager's lower estimate of ||tri^-1||_1 in Higham's form (ACM TOMS
+    14, 381, 1988), step for step as LAPACK zlacn2 takes it, but each solve
+    is a ztrtrs, which calls the BLAS trsm, rather than ztrcon's unblocked,
+    overflow-scaled zlatrs. An exact zero on the diagonal gives 0, as in
+    ztrcon; a solve that overflows raises :class:`SingularMatrix`. Every
+    vector belongs to the call, so concurrent calls on one triangle share
+    nothing mutable.
+    """
+    n = len(tri)
+    if anorm == 0.0 or not np.diagonal(tri).all():
+        return 0.0
+
+    def solve(v: np.ndarray, trans: int) -> tuple[np.ndarray, np.ndarray, float]:
+        x, info = lapack.ztrtrs(tri, v, trans=trans, overwrite_b=1)
+        if info != 0:
+            raise SingularMatrix(f"triangular solve failed (info={info})")
+        absx = np.abs(x)
+        total = absx.sum()
+        if not math.isfinite(total):
+            raise SingularMatrix("condition estimate overflowed")
+        return x, absx, total
+
+    def unit_phases(x: np.ndarray, absx: np.ndarray) -> np.ndarray:
+        return np.where(absx > _SAFMIN, x / absx, 1.0)
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, absx, est = solve(np.full(n, 1.0 / n, dtype=complex), 0)
+        if n > 1:
+            x, absx, _ = solve(unit_phases(x, absx), 2)
+            j = absx.argmax()
+            for _ in range(2, _HAGER_ITMAX + 1):
+                e_j = np.zeros(n, dtype=complex)
+                e_j[j] = 1.0
+                x, absx, total = solve(e_j, 0)
+                est_old, est = est, total
+                if est <= est_old:
+                    break
+                x, absx, _ = solve(unit_phases(x, absx), 2)
+                j_last, j = j, absx.argmax()
+                if absx[j_last] == absx[j]:
+                    break
+            alternating = 1.0 + np.arange(n, dtype=complex) / (n - 1)
+            alternating[1::2] *= -1.0
+            _, _, total = solve(alternating, 0)
+            est = max(est, 2.0 * total / (3 * n))
+    return float((1.0 / anorm) / est) if est > 0.0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -321,3 +322,17 @@ def test_classical_reduction_ring():
                                atol=1e-12)
     np.testing.assert_allclose(report.activity_classical, [[2.0 * r]],
                                atol=1e-12)
+
+
+def test_certify_bound_does_not_call_ztrcon(monkeypatch):
+    # the per-frequency condition gate takes zlacn2's steps on ztrtrs solves;
+    # LAPACK ztrcon runs them on zlatrs, about five times slower at d^2 = 900
+    model = kerr_cat_model(KerrCatParams(n_cut=8))
+    omegas = [0.0, 0.83, -3.1]
+    want = certify_bound(model, omegas).lambda_max
+
+    def ztrcon(*args, **kwargs):
+        raise AssertionError("lapack.ztrcon called")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrcon", ztrcon)
+    np.testing.assert_array_equal(certify_bound(model, omegas).lambda_max, want)

@@ -1,11 +1,15 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 
 from ioqfr import numkit
 from ioqfr.errors import NotPSD, NumericalError, SingularMatrix
+from ioqfr.lindblad import prepare
+from ioqfr.models import KerrCatParams, kerr_cat_model
 from ioqfr.numkit import DEFAULT_TOL, ToleranceSet
 
 
@@ -160,3 +164,59 @@ def test_schur_factor_gates():
                            DEFAULT_TOL.replacing(solve_residual=1e-30))
     with pytest.raises(NumericalError, match="real"):
         numkit.SchurFactor(np.eye(2, dtype=complex))
+
+
+def _assert_is_ztrcon_estimate(tri, anorm):
+    # the estimate is LAPACK's, and its est = 1 / (anorm rcond) is Hager's
+    # lower bound on ||tri^-1||_1
+    got = numkit._tri_rcond(tri, anorm)
+    want, info = lapack.ztrcon(tri, norm="1")
+    assert info == 0
+    assert abs(got - want) <= 1e-12 * want
+    assert 1.0 / (anorm * got) <= np.linalg.norm(np.linalg.inv(tri), 1) * (1.0 + 1e-12)
+
+
+def test_tri_rcond_is_ztrcon_on_kerr_cat():
+    factor = prepare(kerr_cat_model(KerrCatParams(n_cut=12))).steady.factor
+    for omega in (0.0, 1e-6, 0.83, -0.83, 100.0):
+        shifted, _, anorm = factor._shifted(-1j * omega)
+        assert abs(anorm - np.linalg.norm(shifted, 1)) <= 1e-14 * anorm
+        _assert_is_ztrcon_estimate(shifted, anorm)
+
+
+def _kahan(rng, n):
+    # Kahan's triangle with random phases; for some draws (n = 3 and 34 of
+    # seed 1) zlacn2 takes more than one unit-vector iteration
+    c = rng.uniform(0.1, 0.6)
+    s = np.sqrt(1.0 - c * c)
+    k = np.diag(s ** np.arange(n)) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+    return k * np.exp(2j * np.pi * rng.random((n, n)))
+
+
+def test_tri_rcond_is_ztrcon_on_random_triangles():
+    rng, kahan_rng = np.random.default_rng(9), np.random.default_rng(1)
+    for n in range(1, 41):
+        for spread in (0.0, 3.0):
+            tri = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            tri[np.diag_indices(n)] *= 10.0 ** rng.uniform(-spread, 0.0, n)
+            tri = np.asfortranarray(tri)
+            _assert_is_ztrcon_estimate(tri, np.linalg.norm(tri, 1))
+        tri = np.asfortranarray(_kahan(kahan_rng, n))
+        _assert_is_ztrcon_estimate(tri, np.linalg.norm(tri, 1))
+
+
+def test_tri_rcond_edge_cases():
+    # order 1: est = |1/t| after the first solve, as zlacn2 stops there
+    t = np.array([[3.0 - 4.0j]], order="F")
+    assert numkit._tri_rcond(t, 5.0) == pytest.approx(1.0, rel=1e-15)
+    assert numkit._tri_rcond(t, 5.0) == pytest.approx(lapack.ztrcon(t, norm="1")[0],
+                                                      rel=1e-15)
+    # an exact zero on the diagonal is singular, as in ztrcon
+    tri = np.asfortranarray(np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex))
+    assert numkit._tri_rcond(tri, 2.0) == 0.0 == lapack.ztrcon(tri, norm="1")[0]
+    # a solve that overflows raises, with no numpy warning on the way
+    tri = np.asfortranarray(np.array([[1e-200, 1e200], [0.0, 1e-200]], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix, match="overflow"):
+            numkit._tri_rcond(tri, 1e200)
