@@ -8,6 +8,40 @@ user-supplied models. See the README for the CLI and the acceptance suite.
 """
 from __future__ import annotations
 
+
+def _pin_blas_threads() -> None:
+    """Run the OpenBLAS libraries bundled with the numpy and scipy wheels on
+    one thread each, for the whole process.
+
+    The models this package certifies have superoperators of order a few
+    hundred at most, where a second BLAS thread costs more in start-up and
+    synchronization than it gains. OpenBLAS's own ``OPENBLAS_NUM_THREADS``
+    and ``OMP_NUM_THREADS`` take precedence: when either is set, the count
+    is left alone. A build without these libraries or symbols (another BLAS,
+    another platform) is left as it is.
+    """
+    import ctypes
+    import os
+    from pathlib import Path
+
+    import numpy
+    import scipy
+
+    if os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS"):
+        return
+    for package, pattern, setter in (
+            (numpy, "libscipy_openblas64_*.so", "scipy_openblas_set_num_threads64_"),
+            (scipy, "libscipy_openblas-*.so", "scipy_openblas_set_num_threads")):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in libs.glob(pattern):
+            try:
+                getattr(ctypes.CDLL(str(path)), setter)(1)
+            except (OSError, AttributeError):
+                pass
+
+
+_pin_blas_threads()
+
 from .bounds import (
     BoundReport,
     activity_matrix,

@@ -263,7 +263,8 @@ def certify_bound(model_or_system: LindbladModel | System,
     """
     system = as_system(model_or_system, tol)
     activity = applicable_activity(system, tol)
-    normalizer = real_embedding(numkit.psd_inv_sqrt(activity, tol.pinv_rel))
+    normalizer = real_embedding(numkit.psd_inv_sqrt(activity, tol.pinv_rel,
+                                                    herm=tol.herm))
     omegas = np.asarray(list(omegas), dtype=float)
     points = tuple(evaluate_point(system, activity, normalizer, w, tol) for w in omegas)
 

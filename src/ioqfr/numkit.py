@@ -306,25 +306,26 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def psd_inv_sqrt(a: np.ndarray, rel_tol: float = DEFAULT_TOL.pinv_rel) -> np.ndarray:
+def psd_inv_sqrt(a: np.ndarray, rel_tol: float = DEFAULT_TOL.pinv_rel, *,
+                 herm: float = DEFAULT_TOL.herm) -> np.ndarray:
     """Inverse square root of a real symmetric PSD matrix on its support.
 
-    An imaginary part or asymmetry above 1e-12 of the Frobenius norm raises
-    :class:`NotPSD`, whatever the units of ``a``. Eigenvalues in
+    An imaginary part or asymmetry above ``herm`` times the Frobenius norm
+    raises :class:`NotPSD`, whatever the units of ``a``. Eigenvalues in
     (-rel_tol * lambda_max, rel_tol * lambda_max] are treated as zero; a
     negative eigenvalue beyond that band raises :class:`NotPSD`.
     The result N satisfies N a N = projector onto the support of a.
     """
     a = np.asarray(a)
     if np.iscomplexobj(a):
-        if np.max(np.abs(a.imag)) > 1e-12 * np.linalg.norm(a):
+        if np.max(np.abs(a.imag)) > herm * np.linalg.norm(a):
             raise NotPSD("matrix has a non-negligible imaginary part")
         a = a.real
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise NumericalError(f"expected a square matrix, got shape {a.shape}")
     sym_defect = np.linalg.norm(a - a.T)
-    if sym_defect > 1e-12 * np.linalg.norm(a):
+    if sym_defect > herm * np.linalg.norm(a):
         raise NotPSD(f"matrix not symmetric (defect {sym_defect:.3e})")
     w, v = np.linalg.eigh(0.5 * (a + a.T))
     lam_max = max(float(w[-1]), 0.0)

@@ -8,10 +8,12 @@ fields and exit codes must match exactly. Floats must agree to
 numbers under one JSON key: the last digits move with the BLAS thread count
 and with any change of arithmetic order.
 
-The golden files were made with ``OPENBLAS_NUM_THREADS=1``. To remake them
-after a deliberate change of output, run from the repository root
+Importing ``ioqfr`` runs the bundled OpenBLAS on one thread, so with no
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` set the outputs match the
+files byte for byte. To remake them after a deliberate change of output, run
+from the repository root
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py
 """
 from __future__ import annotations
 

@@ -123,6 +123,15 @@ def test_psd_inv_sqrt_asymmetry_is_relative():
         numkit.psd_inv_sqrt(1e-9 * np.eye(2) + 1e-15j * np.eye(2))
 
 
+def test_psd_inv_sqrt_asymmetry_threshold_is_herm():
+    a = 3.0 * np.eye(2)
+    a[0, 1] += 1e-9 * np.linalg.norm(a)
+    with pytest.raises(NotPSD):
+        numkit.psd_inv_sqrt(a)
+    n = numkit.psd_inv_sqrt(a, herm=1e-6)
+    np.testing.assert_allclose(n, np.eye(2) / np.sqrt(3.0), atol=1e-8)
+
+
 def test_psd_inv_sqrt_zero_matrix():
     n = numkit.psd_inv_sqrt(np.zeros((3, 3)))
     np.testing.assert_allclose(n, 0.0)
