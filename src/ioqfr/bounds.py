@@ -296,16 +296,16 @@ def certify_bound(model_or_system: LindbladModel | System,
 # ---------------------------------------------------------------------------
 # closed-form identity for the driven emitter
 
-def rf_positivity_residual(rabi: float, kappa: float, omega: float,
-                           rel_tol: float = 1e-10) -> float:
+def rf_positivity_residual(rabi: float, kappa: float, omega: float) -> float:
     """A S_y(omega) - |R_y(omega)|^2 for resonance fluorescence.
 
     Evaluated two ways: from the closed-form activity, spectrum, and
     response, and from the manifestly nonnegative rational form
     kappa rabi^4 [4 (omega^2 - rabi^2)^2 + kappa^2 (4 rabi^2 + 9 omega^2
-    + 5 kappa^2)] / (2 sat^2 |denom|^2). Both must agree to ``rel_tol``
-    relative and be nonnegative; the assembled value is returned.
+    + 5 kappa^2)] / (2 sat^2 |denom|^2). Both must agree to 1e-10 relative
+    and be nonnegative; the assembled value is returned.
     """
+    rel_tol = 1e-10
     forms = rf_closed_forms(RfParams(kappa=kappa, rabi=rabi), omega)
     assembled = forms.activity * forms.spectrum_y - abs(forms.response_y) ** 2
     sat = forms.saturation
@@ -384,10 +384,10 @@ class CavityCeilingReport:
     passed: bool
 
 
-def coherent_ceiling_check(params: CavityParams, omegas: Sequence[float],
-                           rel_tol: float = 1e-12) -> CavityCeilingReport:
+def coherent_ceiling_check(params: CavityParams,
+                           omegas: Sequence[float]) -> CavityCeilingReport:
     """Verify the coherent-drive ceiling |R|^2 / S = 4 and |s(omega)| = 1
-    across a grid."""
+    across a grid; passed when both hold to 1e-12."""
     omegas = np.asarray(list(omegas), dtype=float)
     ratios = np.array([cavity_scalar_ratio(params, w) for w in omegas])
     scattering = np.array([cavity_scattering(params, w) for w in omegas])
@@ -398,7 +398,7 @@ def coherent_ceiling_check(params: CavityParams, omegas: Sequence[float],
     return CavityCeilingReport(
         omegas=omegas, ratios=ratios, scattering=scattering,
         optimal_phases=phases, max_error=max_error,
-        passed=bool(max_error <= rel_tol),
+        passed=bool(max_error <= 1e-12),
     )
 
 
@@ -418,12 +418,11 @@ class ClassicalReductionReport:
 
 
 def classical_reduction_check(rates: np.ndarray, weights: np.ndarray,
-                              tol: ToleranceSet = DEFAULT_TOL,
-                              steady_tol: float = 1e-10,
-                              activity_tol: float = 1e-12
+                              tol: ToleranceSet = DEFAULT_TOL
                               ) -> ClassicalReductionReport:
     """Check that the Lindblad embedding of a classical jump process
-    reproduces the classical stationary law and escape-flux activity."""
+    reproduces the classical stationary law (populations and vanishing
+    coherences to 1e-10) and escape-flux activity (to 1e-12)."""
     model = classical_jump_model(rates, weights)
     system = as_system(model, tol)
     p_classical = classical_stationary(rates, tol)
@@ -444,9 +443,9 @@ def classical_reduction_check(rates: np.ndarray, weights: np.ndarray,
     act_classical = 0.5 * (act_classical + act_classical.T)
     activity_error = float(np.max(np.abs(act_embedded - act_classical)))
 
-    passed = bool(steady_error <= steady_tol
-                  and offdiag_error <= steady_tol
-                  and activity_error <= activity_tol)
+    passed = bool(steady_error <= 1e-10
+                  and offdiag_error <= 1e-10
+                  and activity_error <= 1e-12)
     return ClassicalReductionReport(
         stationary_classical=p_classical,
         stationary_embedded=p_embedded,

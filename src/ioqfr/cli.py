@@ -55,18 +55,19 @@ def _parse_pairs(pairs: Sequence[str], what: str) -> dict[str, str]:
 
 def _number(value: Any, what: str, integer: bool = False) -> float | int:
     """A finite float (or int) from a JSON number or a command-line string.
-    JSON booleans and non-integral values for integer fields are rejected."""
+    JSON booleans are rejected; an integer field takes any value that reads
+    as a finite integral float, such as 6, 6.0 or "6.0"."""
     if isinstance(value, bool):
         raise ConfigError(f"{what}={value!r} is not a number")
     try:
-        number = int(value) if integer else float(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{what}={value!r} is not a number") from None
     if not math.isfinite(number):
         raise ConfigError(f"{what}={value!r} is not finite")
-    if integer and not isinstance(value, str) and number != value:
+    if integer and not number.is_integer():
         raise ConfigError(f"{what}={value!r} is not an integer")
-    return number
+    return int(number) if integer else number
 
 
 def _number_array(value: Any, what: str) -> np.ndarray:

@@ -43,9 +43,6 @@ from .numkit import DEFAULT_TOL, ToleranceSet
 __all__ = [
     "vec",
     "unvec",
-    "left_mult",
-    "right_mult",
-    "trace_vector",
     "dissipator",
     "SignalSpec",
     "kinetic_signal",
@@ -64,10 +61,6 @@ __all__ = [
     "as_system",
 ]
 
-KINETIC = "kinetic"
-TANGENT = "tangent"
-
-
 # ---------------------------------------------------------------------------
 # vectorization helpers
 
@@ -83,23 +76,6 @@ def unvec(v: np.ndarray) -> np.ndarray:
     if d * d != v.size:
         raise DimMismatch(f"vector of length {v.size} is not a stacked square matrix")
     return v.reshape((d, d), order="F")
-
-
-def left_mult(a: np.ndarray) -> np.ndarray:
-    """Superoperator for rho -> a rho."""
-    a = np.asarray(a, dtype=complex)
-    return np.kron(np.eye(a.shape[0]), a)
-
-
-def right_mult(b: np.ndarray) -> np.ndarray:
-    """Superoperator for rho -> rho b."""
-    b = np.asarray(b, dtype=complex)
-    return np.kron(b.T, np.eye(b.shape[0]))
-
-
-def trace_vector(dim: int) -> np.ndarray:
-    """Row vector t with t @ vec(X) = Tr X."""
-    return vec(np.eye(dim)).conj()
 
 
 def dissipator(coupling: np.ndarray) -> np.ndarray:
@@ -132,19 +108,17 @@ class SignalSpec:
 
     tangent mode: L_mu -> L_mu + eps_q M[mu][q], described by an explicit
     grid of tangent operators (None for channels a parameter does not touch).
+
+    Exactly one of the two descriptions is given; it sets :attr:`mode`.
     """
 
-    mode: str
     coefficients: np.ndarray | None = None
     tangents: tuple[tuple[np.ndarray | None, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in (KINETIC, TANGENT):
-            raise ValueError(f"unknown signal mode {self.mode!r}")
-        if (self.mode == KINETIC) != (self.coefficients is not None):
-            raise ValueError("kinetic mode requires a coefficient matrix")
-        if (self.mode == TANGENT) != (self.tangents is not None):
-            raise ValueError("tangent mode requires a tangent grid")
+        if (self.coefficients is None) == (self.tangents is None):
+            raise ValueError("a signal needs exactly one of a coefficient matrix "
+                             "and a tangent grid")
         if self.coefficients is not None:
             coeff = np.array(self.coefficients, dtype=float, copy=True)
             if coeff.ndim != 2:
@@ -168,6 +142,10 @@ class SignalSpec:
             object.__setattr__(self, "tangents", tuple(rows))
 
     @property
+    def mode(self) -> str:
+        return "kinetic" if self.coefficients is not None else "tangent"
+
+    @property
     def n_channels(self) -> int:
         if self.coefficients is not None:
             return self.coefficients.shape[0]
@@ -181,11 +159,11 @@ class SignalSpec:
 
 
 def kinetic_signal(coefficients: np.ndarray) -> SignalSpec:
-    return SignalSpec(mode=KINETIC, coefficients=np.asarray(coefficients, dtype=float))
+    return SignalSpec(coefficients=np.asarray(coefficients, dtype=float))
 
 
 def tangent_signal(tangents: Sequence[Sequence[np.ndarray | None]]) -> SignalSpec:
-    return SignalSpec(mode=TANGENT, tangents=tuple(tuple(row) for row in tangents))
+    return SignalSpec(tangents=tuple(tuple(row) for row in tangents))
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +194,7 @@ class LindbladModel:
         h = _readonly(self.hamiltonian)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimMismatch(f"hamiltonian must be square, got {h.shape}")
-        scale = max(1.0, float(np.linalg.norm(h)))
-        if np.linalg.norm(h - h.conj().T) > DEFAULT_TOL.herm * scale:
+        if np.linalg.norm(h - h.conj().T) > DEFAULT_TOL.herm * np.linalg.norm(h):
             raise ValueError("hamiltonian is not Hermitian within tolerance")
         if not np.all(np.isfinite(h)):
             raise ValueError("hamiltonian has non-finite entries")
@@ -243,7 +220,7 @@ class LindbladModel:
                 raise DimMismatch(
                     f"signal covers {self.signal.n_channels} channels, "
                     f"model has {len(chans)}")
-            if self.signal.mode == KINETIC:
+            if self.signal.coefficients is not None:
                 b = self.signal.coefficients
                 scaled = 0.5 * b[:, :, None, None] * np.array(chans)[:, None]
                 scaled.setflags(write=False)
@@ -556,11 +533,9 @@ class Resolvent:
     condition of -i omega - T (:class:`~ioqfr.numkit.SchurFactor`).
     """
 
-    def __init__(self, factor: numkit.SchurFactor, omega: float,
-                 tol: ToleranceSet = DEFAULT_TOL):
+    def __init__(self, factor: numkit.SchurFactor, omega: float):
         self.omega = float(omega)
         self._factor = factor
-        self._tol = tol
 
     def apply(self, block: np.ndarray) -> np.ndarray:
         """(-i omega - T)^(-1) on an (n - 1, k) block given in Schur
@@ -569,19 +544,6 @@ class Resolvent:
             return self._factor.solve_triangular(-1j * self.omega, block)
         except SingularMatrix as err:
             raise SingularMatrix(f"resolvent at omega={self.omega!r}: {err}") from err
-
-    def apply_many(self, sources: np.ndarray) -> np.ndarray:
-        """(-i omega - L)^(-1) applied to each traceless column of an (n, k)
-        block of vectorized sources; the results are traceless."""
-        sources = np.asarray(sources, dtype=complex)
-        n = self._factor.order + 1
-        if sources.ndim != 2 or sources.shape[0] != n:
-            raise DimMismatch(
-                f"source block shape {sources.shape} does not match dim {math.isqrt(n)}")
-        factor = self._factor
-        solved = factor.from_schur(
-            self.apply(factor.to_schur(_traceless_coordinates(sources, self._tol))))
-        return _from_coherence(np.vstack([np.zeros((1, solved.shape[1])), solved]))
 
 
 # ---------------------------------------------------------------------------
@@ -613,44 +575,39 @@ def _realization(model: LindbladModel, rho: np.ndarray) -> tuple:
             m = model.tangent_operator(mu, q)
             if m is not None:
                 direct[a, q] = np.trace(quadrature(m, th) @ rho).real
-    for block in (sources, observables, direct):
-        block.setflags(write=False)
+    direct.setflags(write=False)
     return sources, observables, direct
 
 
 @dataclass(frozen=True)
 class System:
-    """Model plus its stationary state and the realization (Y, C, D) of its
-    monitored currents (see :func:`_realization`), all computed once; the
-    three realization arrays are None when nothing is monitored. The dense
-    generator is not kept: the steady state's factor serves every solve, and
-    :attr:`generator` rebuilds the matrix on request. The sources are checked
-    traceless once, here, and the
-    realization is kept also in the Schur coordinates of the steady state's
-    factor: the rows (C U) Z and the columns Z^H (U^H Y), without the
-    identity coordinate, so a frequency costs one triangular solve."""
+    """Model plus its stationary state and the realization of its monitored
+    currents (see :func:`_realization`), all computed once. The realization
+    is kept in the Schur coordinates of the steady state's factor, without
+    the identity coordinate: the rows (C U) Z, the columns Z^H (U^H Y), whose
+    sources are checked traceless here, and the direct terms D. So a
+    frequency costs one triangular solve. The three arrays are None when
+    nothing is monitored. The dense generator is not kept: :attr:`generator`
+    rebuilds it on request."""
 
     model: LindbladModel
     steady: StationaryState
     tol: ToleranceSet
-    sources: np.ndarray | None = field(init=False, repr=False)
-    observables: np.ndarray | None = field(init=False, repr=False)
     direct: np.ndarray | None = field(init=False, repr=False)
     _schur_rows: np.ndarray | None = field(init=False, repr=False)
     _schur_sources: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        built = _realization(self.model, self.rho)
-        for name, value in zip(("sources", "observables", "direct"), built):
-            object.__setattr__(self, name, value)
-        rows = sources = None
-        if self.sources is not None:
+        sources, observables, direct = _realization(self.model, self.rho)
+        rows = None
+        if sources is not None:
             factor = self.steady.factor
-            sources = factor.to_schur(_traceless_coordinates(self.sources, self.tol))
+            sources = factor.to_schur(_traceless_coordinates(sources, self.tol))
             # (C U)[:, 1:] Z = (Z^H (U^H C^H)[1:])^H
-            rows = factor.to_schur(_to_coherence(self.observables.conj().T)[1:]).conj().T
+            rows = factor.to_schur(_to_coherence(observables.conj().T)[1:]).conj().T
             for block in (rows, sources):
                 block.setflags(write=False)
+        object.__setattr__(self, "direct", direct)
         object.__setattr__(self, "_schur_rows", rows)
         object.__setattr__(self, "_schur_sources", sources)
 
@@ -673,15 +630,17 @@ class System:
         )
         return System(model=model, steady=self.steady, tol=self.tol)
 
-    def resolvent(self, omega: float) -> Resolvent:
-        return Resolvent(self.steady.factor, omega, tol=self.tol)
-
     def transfer(self, omega: float) -> np.ndarray:
         """H(omega) = C (-i omega - L)^(-1) Y, the (m, m + p) transfer matrix
-        of the monitored currents, from one triangular solve."""
-        if self.sources is None:
+        of the monitored currents, from one triangular solve. Every
+        frequency-domain quantity enters here, so a non-finite ``omega``
+        raises ValueError before any solve."""
+        if not math.isfinite(omega):
+            raise ValueError(f"frequency {float(omega)} is not finite")
+        if self._schur_sources is None:
             raise ValueError("model has no monitored currents")
-        return self._schur_rows @ self.resolvent(omega).apply(self._schur_sources)
+        return self._schur_rows @ Resolvent(self.steady.factor, omega).apply(
+            self._schur_sources)
 
 
 def prepare(model: LindbladModel, tol: ToleranceSet = DEFAULT_TOL) -> System:

@@ -93,10 +93,6 @@ class LUFactor:
         self.rcond = float(rcond)
         _check_rcond(self.rcond, tol)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._a.shape
-
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=complex)
         x = scipy.linalg.lu_solve((self._lu, self._piv), b)

@@ -25,7 +25,6 @@ from .lindblad import LindbladModel, System, as_system
 from .numkit import ToleranceSet
 
 __all__ = [
-    "real_block",
     "real_embedding",
     "perturbation_superop",
     "complex_response",
@@ -35,15 +34,9 @@ __all__ = [
 ]
 
 
-def real_block(z: complex) -> np.ndarray:
-    """Real 2x2 image of a complex number: [[Re, -Im], [Im, Re]]."""
-    z = complex(z)
-    return np.array([[z.real, -z.imag], [z.imag, z.real]])
-
-
 def real_embedding(cmat: np.ndarray) -> np.ndarray:
-    """Blockwise :func:`real_block` image of a complex (r, c) matrix,
-    giving the real (2r, 2c) lock-in matrix."""
+    """Real (2r, 2c) lock-in image of a complex (r, c) matrix: each entry z
+    becomes the 2x2 block [[Re z, -Im z], [Im z, Re z]]."""
     cmat = np.atleast_2d(np.asarray(cmat, dtype=complex))
     r, c = cmat.shape
     out = np.empty((2 * r, 2 * c))

@@ -65,9 +65,6 @@ class SuiteResult:
 # time-domain lock-in oracle
 
 def finite_difference_lockin(system: System, current: int, q: int, omega: float,
-                             amplitude: float = 1e-4, periods: int = 30,
-                             burn_in_factor: float = 10.0,
-                             samples_per_period: int = 256,
                              envelope: str = "cos") -> complex:
     """Lock-in coefficients from direct integration of the driven master
     equation with eps(t) = amplitude * sqrt(2) * cos(omega t) (or sin).
@@ -98,9 +95,12 @@ def finite_difference_lockin(system: System, current: int, q: int, omega: float,
     else:
         raise ValueError(f"unknown envelope {envelope!r}")
 
-    burn = burn_in_factor / system.steady.gap
+    # a drive small enough to stay linear, switched on ten relaxation times
+    # 1/gap before a window of 30 periods sampled 256 times each
+    amplitude, periods, samples = 1e-4, 30, 256
+    burn = 10.0 / system.steady.gap
     window = periods * 2.0 * np.pi / omega
-    ts = burn + np.linspace(0.0, window, periods * samples_per_period + 1)
+    ts = burn + np.linspace(0.0, window, periods * samples + 1)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return gen @ y + (amplitude * phi(t)) * (vsup @ y)
@@ -128,13 +128,15 @@ def finite_difference_lockin(system: System, current: int, q: int, omega: float,
 def _suite_cavity_saturation(tol: ToleranceSet) -> tuple[bool, str]:
     rng = np.random.default_rng(42)
     worst = 0.0
+    passed = True
     for _ in range(50):
         kappa = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
         delta = float(rng.uniform(-5.0, 5.0))
         omega = float(rng.uniform(-10.0, 10.0))
         report = coherent_ceiling_check(CavityParams(kappa=kappa, delta=delta), [omega])
         worst = max(worst, report.max_error)
-    return worst <= 1e-12, f"max |ratio - 4| and ||s|-1| = {worst:.2e} over 50 samples"
+        passed = passed and report.passed
+    return passed, f"max |ratio - 4| and ||s|-1| = {worst:.2e} over 50 samples"
 
 
 def _suite_rf_closed_forms(tol: ToleranceSet) -> tuple[bool, str]:
@@ -162,7 +164,7 @@ def _suite_rf_positivity(tol: ToleranceSet) -> tuple[bool, str]:
     smallest = np.inf
     for rabi in (0.5, 1.0, 2.5):
         for w in omegas:
-            value = rf_positivity_residual(rabi, 1.0, w, rel_tol=1e-10)
+            value = rf_positivity_residual(rabi, 1.0, w)
             smallest = min(smallest, value)
     spot = rf_positivity_residual(1.0, 1.0, 0.0)
     spot_err = abs(spot - 26.0 / 81.0)
@@ -213,6 +215,7 @@ def _suite_kerr_cat_truncation(tol: ToleranceSet) -> tuple[bool, str]:
 def _suite_classical_reduction(tol: ToleranceSet) -> tuple[bool, str]:
     rng = np.random.default_rng(11)
     worst_steady = worst_activity = 0.0
+    passed = True
     for _ in range(20):
         n = int(rng.integers(3, 6))
         n_par = int(rng.integers(1, 4))
@@ -222,9 +225,9 @@ def _suite_classical_reduction(tol: ToleranceSet) -> tuple[bool, str]:
         report = classical_reduction_check(rates, weights, tol)
         worst_steady = max(worst_steady, report.steady_error, report.offdiag_error)
         worst_activity = max(worst_activity, report.activity_error)
-    ok = worst_steady <= 1e-10 and worst_activity <= 1e-12
-    return ok, (f"20 instances: worst steady error {worst_steady:.2e}, "
-                f"worst activity error {worst_activity:.2e}")
+        passed = passed and report.passed
+    return passed, (f"20 instances: worst steady error {worst_steady:.2e}, "
+                    f"worst activity error {worst_activity:.2e}")
 
 
 def _suite_lockin_normalization(tol: ToleranceSet) -> tuple[bool, str]:

@@ -201,6 +201,7 @@ def test_config_errors_exit_1(tmp_path, capsys):
         "entry": _custom_qubit(channels=[[{"row": 1, "col": 0, "re": "x"}]]),
         "theta": {"model": "rf", "theta": [0.1, "abc"]},
         "n_cut": {"model": "kerr_cat", "params": {"n_cut": 4.9}},
+        "huge_n_cut": {"model": "kerr_cat", "params": {"n_cut": 10 ** 400}},
         "bool": {"model": "rf", "params": {"kappa": True}},
         "nan_rate": {"model": "classical_jump",
                      "rates": [[0.0, float("nan")], [1.0, 0.0]],
@@ -259,6 +260,16 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "not finite" in err
     code, _, err = run(capsys, "bound-report", "--model", str(no_signal))
     assert err == "error: model 'custom' has no signal parametrization\n"
+
+
+def test_integer_parameter_reads_integral_float(capsys):
+    code, out, _ = run(capsys, "steady", "--model", "kerr_cat", "--param", "n_cut=6")
+    assert code == 0
+    assert run(capsys, "steady", "--model", "kerr_cat", "--param", "n_cut=6.0") \
+        == (0, out, "")
+    code, out, err = run(capsys, "steady", "--model", "kerr_cat", "--param", "n_cut=6.5")
+    assert (code, out) == (1, "")
+    assert err == "error: parameter n_cut='6.5' is not an integer\n"
 
 
 def test_cli_import_skips_scipy_integrate():

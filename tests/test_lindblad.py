@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ioqfr import cli, lindblad, numkit
-from ioqfr.bounds import activity_matrix, evaluate_point
+from ioqfr.bounds import activity_matrix, certify_bound, evaluate_point
 from ioqfr.errors import NotMixing, NumericalError, SourceNotTraceless
 from ioqfr.hilbert import pauli
 from ioqfr.lindblad import (
@@ -30,12 +30,20 @@ from ioqfr.response import real_embedding, response_matrix
 from ioqfr.spectra import matrix_spectrum
 
 
-def _decay_model(theta=np.pi / 2, kappa=1.0):
+def _decay_model(theta=np.pi / 2, kappa=1.0, pump=0.0):
+    """Qubit decay at rate kappa, monitored and modulated; a pump > 0 adds
+    incoherent excitation, which mixes the steady state so that the monitored
+    current has nonzero insertion and perturbation sources."""
+    channels = (np.sqrt(kappa) * pauli("minus"),)
+    coefficients = [[1.0]]
+    if pump:
+        channels += (np.sqrt(pump) * pauli("plus"),)
+        coefficients.append([0.0])
     return LindbladModel(
         hamiltonian=np.zeros((2, 2), dtype=complex),
-        channels=(np.sqrt(kappa) * pauli("minus"),),
+        channels=channels,
         monitored=((0, theta),),
-        signal=kinetic_signal(np.array([[1.0]])),
+        signal=kinetic_signal(np.array(coefficients)),
     )
 
 
@@ -49,16 +57,6 @@ def test_vec_column_stacking():
     np.testing.assert_allclose(unvec(vec(x)), x)
 
 
-def test_left_right_mult():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    np.testing.assert_allclose(unvec(lindblad.left_mult(a) @ vec(x)), a @ x,
-                               atol=1e-13)
-    np.testing.assert_allclose(unvec(lindblad.right_mult(a) @ vec(x)), x @ a,
-                               atol=1e-13)
-
-
 def test_dissipator_action():
     rng = np.random.default_rng(2)
     c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -66,7 +64,7 @@ def test_dissipator_action():
     direct = c @ x @ c.conj().T - 0.5 * (c.conj().T @ c @ x + x @ c.conj().T @ c)
     np.testing.assert_allclose(unvec(dissipator(c) @ vec(x)), direct, atol=1e-12)
     # trace annihilation: columns of the dissipator are traceless images
-    t = lindblad.trace_vector(3)
+    t = vec(np.eye(3)).conj()
     assert np.max(np.abs(t @ dissipator(c))) <= 1e-12 * np.linalg.norm(c) ** 2
 
 
@@ -108,40 +106,25 @@ def test_scalar_resolvent_identity():
 
 def test_resolvent_requires_traceless():
     system = prepare(_decay_model())
-    res = system.resolvent(1.0)
     traceless = vec(project_traceless(np.eye(2) + pauli("x"), system.rho))
     with pytest.raises(SourceNotTraceless, match="source 1 trace"):
-        res.apply_many(np.stack([traceless, vec(np.eye(2))], axis=1))
-
-
-def test_resolvent_inverts_generator():
-    system = prepare(_decay_model())
-    rng = np.random.default_rng(3)
-    ys = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-          for _ in range(2)]
-    block = np.stack([vec(project_traceless(y, system.rho)) for y in ys], axis=1)
-    for omega in (0.0, 0.9, -2.3):
-        out = system.resolvent(omega).apply_many(block)
-        back = -1j * omega * out - system.generator @ out
-        np.testing.assert_allclose(back, block, atol=1e-10)
-        np.testing.assert_allclose(lindblad.trace_vector(2) @ out, 0.0, atol=1e-10)
+        lindblad._traceless_coordinates(
+            np.stack([traceless, vec(np.eye(2))], axis=1), DEFAULT_TOL)
 
 
 def test_zero_frequency_deflation_continuity():
-    system = prepare(_decay_model())
-    rng = np.random.default_rng(4)
-    y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    src = vec(project_traceless(y, system.rho))[:, None]
-    at_zero = system.resolvent(0.0).apply_many(src)
-    near_zero = system.resolvent(1e-9).apply_many(src)
-    np.testing.assert_allclose(at_zero, near_zero, atol=1e-7)
+    system = prepare(_decay_model(pump=0.3))
+    at_zero = system.transfer(0.0)
+    assert np.max(np.abs(at_zero)) > 0.1
+    np.testing.assert_allclose(at_zero, system.transfer(1e-9), atol=1e-7)
 
     # kerr_cat (gap 3.1e-2): S is even in omega, so it matches S(0); R moves
-    # at first order, by omega R'(0) with R'(0) = i C G(0)^2 Y_pert
+    # at first order, by omega R'(0) with R'(0) = i C G(0)^2 Y_pert, taken
+    # in the Schur coordinates of the realization
     system = prepare(kerr_cat_model(KerrCatParams()))
     m = len(system.model.monitored)
-    g0 = system.resolvent(0.0)
-    slope = 1j * system.observables @ g0.apply_many(g0.apply_many(system.sources))
+    g0 = lindblad.Resolvent(system.steady.factor, 0.0)
+    slope = 1j * system._schur_rows @ g0.apply(g0.apply(system._schur_sources))
     s0 = matrix_spectrum(system, 0.0).complex_matrix
     r0 = response_matrix(system, 0.0).complex_matrix
     for omega in (1e-15, -1e-15, 1e-13, 1e-11, 1e-9):
@@ -180,6 +163,21 @@ def test_model_validation():
     with pytest.raises(ValueError):
         LindbladModel(hamiltonian=np.zeros((2, 2)), channels=(pauli("minus"),),
                       monitored=(), signal=kinetic_signal(np.ones((2, 1))))
+
+
+def test_hamiltonian_check_is_scale_free():
+    # an anti-Hermitian part of 1e-4 relative to ||H|| is rejected at every
+    # scale, and an exactly Hermitian H is accepted at every scale
+    rng = np.random.default_rng(6)
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    herm, anti = g + g.conj().T, g - g.conj().T
+    skewed = herm / np.linalg.norm(herm) + 1e-4 * anti / np.linalg.norm(anti)
+    for scale in (1e-9, 1.0, 1e9):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            LindbladModel(hamiltonian=scale * skewed)
+    h = kerr_cat_model(KerrCatParams()).hamiltonian
+    for exponent in range(-12, 13, 3):
+        LindbladModel(hamiltonian=10.0 ** exponent * h)
 
 
 def test_model_fingerprint_sensitivity():
@@ -230,7 +228,7 @@ def test_gell_mann_coordinates():
     coords = lindblad._to_coherence(x)
     np.testing.assert_allclose(np.linalg.norm(coords, axis=0), np.linalg.norm(x, axis=0))
     np.testing.assert_allclose(lindblad._from_coherence(coords), x, atol=1e-14)
-    np.testing.assert_allclose(coords[0], lindblad.trace_vector(d) @ x / math.sqrt(d))
+    np.testing.assert_allclose(coords[0], vec(np.eye(d)).conj() @ x / math.sqrt(d))
     np.testing.assert_allclose(lindblad._to_coherence(x, sign=-1.0),
                                lindblad._to_coherence(x.conj()).conj(), atol=1e-14)
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -255,15 +253,17 @@ def _dense_transfer(system, omega):
     bordered[:n, :n] = -1j * omega * np.eye(n) - gen
     bordered[:n, n] = unit
     bordered[n, :n] = unit.conj()
-    rhs = np.vstack([system.sources, np.zeros((1, system.sources.shape[1]))])
-    return system.observables @ np.linalg.solve(bordered, rhs)[:n]
+    sources, observables, _ = lindblad._realization(system.model, system.rho)
+    rhs = np.vstack([sources, np.zeros((1, sources.shape[1]))])
+    return observables @ np.linalg.solve(bordered, rhs)[:n]
 
 
 @pytest.mark.parametrize("build", [
     lambda: None,
+    lambda: prepare(_decay_model(pump=0.3)),
     lambda: prepare(kerr_cat_model(KerrCatParams(n_cut=6))),
     _two_currents,
-], ids=["rf", "kerr_cat_6", "custom_two_currents"])
+], ids=["rf", "decay", "kerr_cat_6", "custom_two_currents"])
 def test_transfer_matches_dense_solve(build, rf_unit):
     system = build() or rf_unit
     for omega in (0.0, 1e-12, 0.83, -0.83, 40.0):
@@ -274,6 +274,15 @@ def test_transfer_matches_dense_solve(build, rf_unit):
         s = matrix_spectrum(system, omega).complex_matrix
         s_neg = matrix_spectrum(system, -omega).complex_matrix
         np.testing.assert_allclose(s_neg, s.T, rtol=0, atol=1e-12 * np.max(np.abs(s)))
+
+
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_frequency_is_input_error(rf_unit, omega):
+    entries = (matrix_spectrum, response_matrix, lambda s, w: certify_bound(s, [w]))
+    for entry in entries:
+        with pytest.raises(ValueError, match=f"^frequency {omega} is not finite$") as err:
+            entry(rf_unit, omega)
+        assert err.type is ValueError
 
 
 def test_evaluate_point_thread_safe():

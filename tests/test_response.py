@@ -16,7 +16,6 @@ from ioqfr.models import RfParams, rf_closed_forms, rf_model
 from ioqfr.response import (
     complex_response,
     perturbation_superop,
-    real_block,
     real_embedding,
     response_matrix,
 )
@@ -102,14 +101,16 @@ def test_direct_term_only_for_monitored_overlap():
     np.testing.assert_allclose(far, expected, atol=1e-8)
 
 
-def test_real_block_homomorphism():
+def test_real_embedding_homomorphism():
     rng = np.random.default_rng(0)
     for _ in range(10):
-        z, w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        np.testing.assert_allclose(real_block(z * w),
-                                   real_block(z) @ real_block(w), atol=1e-13)
-        np.testing.assert_allclose(real_block(z) + real_block(w),
-                                   real_block(z + w), atol=1e-13)
+        z, w = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                for _ in range(2))
+        np.testing.assert_allclose(real_embedding(z @ w),
+                                   real_embedding(z) @ real_embedding(w), atol=1e-13)
+        np.testing.assert_allclose(real_embedding(z) + real_embedding(w),
+                                   real_embedding(z + w), atol=1e-13)
+        np.testing.assert_allclose(real_embedding(z.conj().T), real_embedding(z).T)
 
 
 def test_real_embedding_blocks():
@@ -118,8 +119,9 @@ def test_real_embedding_blocks():
     assert out.shape == (4, 4)
     for a in range(2):
         for b in range(2):
+            z = cmat[a, b]
             np.testing.assert_allclose(out[2 * a:2 * a + 2, 2 * b:2 * b + 2],
-                                       real_block(cmat[a, b]))
+                                       [[z.real, -z.imag], [z.imag, z.real]])
 
 
 def test_response_matrix_shapes(kerr_ref):
