@@ -75,7 +75,6 @@ from .lindblad import (
     SignalSpec,
     StationaryState,
     System,
-    as_system,
     kinetic_signal,
     liouvillian,
     model_fingerprint,
@@ -113,7 +112,6 @@ __all__ = [
     "tangent_signal",
     "System",
     "prepare",
-    "as_system",
     "liouvillian",
     "steady_state",
     "StationaryState",

@@ -37,12 +37,7 @@ from .errors import (
     NumericalError,
     PureDissipativeViolated,
 )
-from .lindblad import (
-    LindbladModel,
-    System,
-    as_system,
-    model_fingerprint,
-)
+from .lindblad import LindbladModel, System, model_fingerprint, prepare
 from .models import (
     CavityParams,
     RfParams,
@@ -84,16 +79,15 @@ def _tangent_stack(model: LindbladModel) -> np.ndarray:
                     dtype=complex)
 
 
-def activity_matrix(model_or_system: LindbladModel | System,
-                    tol: ToleranceSet | None = None) -> np.ndarray:
+def activity_matrix(system: System, tol: ToleranceSet | None = None) -> np.ndarray:
     """Signal-activity matrix A_qr = 4 Re sum_mu Tr[M_mu_q^dag M_mu_r rho_ss].
 
     For kinetic tangents (b_mu_q / 2) L_mu this reduces to
     sum_mu b_mu_q b_mu_r Tr[L^dag L rho_ss], the weighted stationary jump
     fluxes. Symmetric PSD by construction; validated before return against
-    ``tol.psd`` times its largest eigenvalue, so the check has no units.
+    ``tol.psd`` (``system.tol`` when ``tol`` is None) times its largest
+    eigenvalue, so the check has no units.
     """
-    system = as_system(model_or_system, tol)
     tolerances = tol if tol is not None else system.tol
     tangents = _tangent_stack(system.model)
     act = 4.0 * np.einsum("mqab,mrab->qr", tangents.conj(), tangents @ system.rho).real
@@ -132,8 +126,7 @@ def pure_dissipative_residuals(model: LindbladModel,
                                 ok=bool(np.all(residuals <= thresholds)))
 
 
-def applicable_activity(model_or_system: LindbladModel | System,
-                        tol: ToleranceSet = DEFAULT_TOL) -> np.ndarray:
+def applicable_activity(system: System, tol: ToleranceSet = DEFAULT_TOL) -> np.ndarray:
     """The activity matrix, once the bound is known to apply.
 
     Raises :class:`ActivityDegenerate` when a signal has activity at or below
@@ -141,7 +134,6 @@ def applicable_activity(model_or_system: LindbladModel | System,
     tangents fail :func:`pure_dissipative_residuals`; either makes the bound
     meaningless rather than merely violated.
     """
-    system = as_system(model_or_system, tol)
     activity = activity_matrix(system, tol)
     diag = np.diag(activity)
     if np.min(diag) <= tol.activity_floor:
@@ -252,8 +244,7 @@ class BoundReport:
         return bool(np.all(self.passed))
 
 
-def certify_bound(model_or_system: LindbladModel | System,
-                  omegas: Sequence[float],
+def certify_bound(system: System, omegas: Sequence[float],
                   tol: ToleranceSet = DEFAULT_TOL) -> BoundReport:
     """Certify J(omega) <= A over a frequency grid.
 
@@ -261,7 +252,6 @@ def certify_bound(model_or_system: LindbladModel | System,
     :class:`ActivityDegenerate` or :class:`PureDissipativeViolated` when the
     bound does not apply.
     """
-    system = as_system(model_or_system, tol)
     activity = applicable_activity(system, tol)
     normalizer = real_embedding(numkit.psd_inv_sqrt(activity, tol.pinv_rel,
                                                     herm=tol.herm))
@@ -424,7 +414,7 @@ def classical_reduction_check(rates: np.ndarray, weights: np.ndarray,
     reproduces the classical stationary law (populations and vanishing
     coherences to 1e-10) and escape-flux activity (to 1e-12)."""
     model = classical_jump_model(rates, weights)
-    system = as_system(model, tol)
+    system = prepare(model, tol)
     p_classical = classical_stationary(rates, tol)
     rho = system.rho
     p_embedded = np.real(np.diag(rho))

@@ -21,9 +21,9 @@ from .bounds import certify_bound, coherent_ceiling_check
 from .errors import ConfigError, IoqfrError
 from .lindblad import (
     LindbladModel,
-    as_system,
     kinetic_signal,
     model_fingerprint,
+    prepare,
     tangent_signal,
 )
 from .models import REGISTRY, classical_jump_model
@@ -133,9 +133,9 @@ def _operator_from_entries(entries: Any, dim: int, what: str) -> np.ndarray:
         extra = set(entry) - {"row", "col", "re", "im"}
         if extra:
             raise ConfigError(f"{what}[{k}]: unknown keys {sorted(extra)}")
-        row, col = entry["row"], entry["col"]
-        if not (isinstance(row, int) and isinstance(col, int)
-                and 0 <= row < dim and 0 <= col < dim):
+        row = _number(entry["row"], f"{what}[{k}].row", integer=True)
+        col = _number(entry["col"], f"{what}[{k}].col", integer=True)
+        if not (0 <= row < dim and 0 <= col < dim):
             raise ConfigError(f"{what}[{k}]: indices ({row}, {col}) outside "
                               f"dimension {dim}")
         op[row, col] += complex(_number(entry.get("re", 0.0), f"{what}[{k}].re"),
@@ -185,10 +185,13 @@ def _load_config(path: str) -> dict:
 
 
 def _custom_model(config: dict, path: str) -> LindbladModel:
-    dim = config.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    dim = _number(config.get("dim"), f"config {path}: dim", integer=True)
+    if dim < 1:
         raise ConfigError(f"config {path}: custom model needs a positive "
                           "integer dim")
+    for key in ("channels", "monitored"):
+        if not isinstance(config.get(key, []), list):
+            raise ConfigError(f"config {path}: {key} must be a list")
     hamiltonian = _operator_from_entries(
         config.get("hamiltonian", []), dim, "hamiltonian")
     channels = [
@@ -197,12 +200,12 @@ def _custom_model(config: dict, path: str) -> LindbladModel:
     ]
     monitored = []
     for k, item in enumerate(config.get("monitored", [])):
-        if (not isinstance(item, (list, tuple)) or len(item) != 2
-                or not isinstance(item[0], int)):
+        if not isinstance(item, list) or len(item) != 2:
             raise ConfigError(f"config {path}: monitored[{k}] must be "
                               "[channel_index, theta]")
-        monitored.append((item[0], _number(
-            item[1], f"config {path}: monitored[{k}] theta")))
+        where = f"config {path}: monitored[{k}]"
+        monitored.append((_number(item[0], f"{where} channel", integer=True),
+                          _number(item[1], f"{where} theta")))
     try:
         signal = None
         if config.get("signal") is not None:
@@ -325,7 +328,7 @@ def _cmd_steady(args: argparse.Namespace) -> int:
     tol = _parse_tol(args.tol or [])
     spec = _resolve_model(args)
     model = spec.model("steady")
-    system = as_system(model, tol)
+    system = prepare(model, tol)
     rho = system.rho
     report: dict[str, Any] = {
         "model": spec.name,
@@ -397,7 +400,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     spec = _resolve_model(args)
     base_model = _bound_model(spec, "sweep")
     omegas = _sweep_grid(args)
-    base = as_system(base_model, tol)
+    base = prepare(base_model, tol)
     systems = [base]
     for theta in spec.thetas[1:]:
         systems.append(base.with_monitored(
@@ -442,7 +445,8 @@ def _cmd_bound_report(args: argparse.Namespace) -> int:
             "passed": report.passed,
         }, args.out)
         return 0 if report.passed else 2
-    report = certify_bound(_bound_model(spec, "bound-report"), omegas, tol=tol)
+    system = prepare(_bound_model(spec, "bound-report"), tol)
+    report = certify_bound(system, omegas, tol=tol)
     payload: dict[str, Any] = {
         "model": spec.name,
         "kind": "fluctuation_response_bound",

@@ -58,7 +58,6 @@ __all__ = [
     "Resolvent",
     "System",
     "prepare",
-    "as_system",
 ]
 
 # ---------------------------------------------------------------------------
@@ -210,9 +209,10 @@ class LindbladModel:
         object.__setattr__(self, "channels", chans)
 
         mon = tuple((int(mu), float(theta)) for mu, theta in self.monitored)
-        for mu, _ in mon:
-            if not 0 <= mu < len(chans):
-                raise DimMismatch(f"monitored channel index {mu} out of range")
+        for (mu, _), (given, _) in zip(mon, self.monitored):
+            if mu != given or not 0 <= mu < len(chans):
+                raise DimMismatch(f"monitored channel index {given!r} is not an "
+                                  f"integer in [0, {len(chans)})")
         object.__setattr__(self, "monitored", mon)
 
         if self.signal is not None:
@@ -587,8 +587,8 @@ class System:
     the identity coordinate: the rows (C U) Z, the columns Z^H (U^H Y), whose
     sources are checked traceless here, and the direct terms D. So a
     frequency costs one triangular solve. The three arrays are None when
-    nothing is monitored. The dense generator is not kept: :attr:`generator`
-    rebuilds it on request."""
+    nothing is monitored. The dense generator is not kept; :func:`liouvillian`
+    rebuilds it from the model."""
 
     model: LindbladModel
     steady: StationaryState
@@ -614,11 +614,6 @@ class System:
     @property
     def rho(self) -> np.ndarray:
         return self.steady.rho
-
-    @property
-    def generator(self) -> np.ndarray:
-        """The dense (d^2, d^2) generator, rebuilt by :func:`liouvillian`."""
-        return liouvillian(self.model)
 
     def with_monitored(self, monitored: Sequence[tuple[int, float]]) -> "System":
         """Same dynamics, different monitored currents; reuses the heavy parts."""
@@ -646,10 +641,3 @@ class System:
 def prepare(model: LindbladModel, tol: ToleranceSet = DEFAULT_TOL) -> System:
     """Build the stationary state and its factor for repeated evaluation."""
     return System(model=model, steady=steady_state(liouvillian(model), tol=tol), tol=tol)
-
-
-def as_system(model_or_system: LindbladModel | System,
-              tol: ToleranceSet | None = None) -> System:
-    if isinstance(model_or_system, System):
-        return model_or_system
-    return prepare(model_or_system, tol=tol if tol is not None else DEFAULT_TOL)

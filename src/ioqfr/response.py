@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lindblad import LindbladModel, System, as_system
-from .numkit import ToleranceSet
+from .lindblad import LindbladModel, System
 
 __all__ = [
     "real_embedding",
@@ -77,10 +76,8 @@ class ResponseMatrix:
         return real_embedding(self.complex_matrix)
 
 
-def response_matrix(model_or_system: LindbladModel | System, omega: float,
-                    tol: ToleranceSet | None = None) -> ResponseMatrix:
+def response_matrix(system: System, omega: float) -> ResponseMatrix:
     """Response of every monitored current to every signal at one frequency."""
-    system = as_system(model_or_system, tol)
     return response_from_transfer(system, system.transfer(omega), omega)
 
 
@@ -94,9 +91,7 @@ def response_from_transfer(system: System, transfer: np.ndarray,
     return ResponseMatrix(omega=float(omega), complex_matrix=cmat)
 
 
-def complex_response(model_or_system: LindbladModel | System, current: int, q: int,
-                     omega: float, tol: ToleranceSet | None = None) -> complex:
+def complex_response(system: System, current: int, q: int, omega: float) -> complex:
     """Complex response of monitored current ``current`` to signal ``q``:
     one entry of :func:`response_matrix`."""
-    return complex(response_matrix(model_or_system, omega, tol)
-                   .complex_matrix[current, q])
+    return complex(response_matrix(system, omega).complex_matrix[current, q])

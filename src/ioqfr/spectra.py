@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DuplicateChannel, NumericalError
-from .lindblad import LindbladModel, System, as_system
+from .lindblad import System
 from .numkit import ToleranceSet
 from .response import real_embedding
 
@@ -53,12 +53,10 @@ class NoiseMatrix:
         return real_embedding(self.complex_matrix)
 
 
-def matrix_spectrum(model_or_system: LindbladModel | System, omega: float,
-                    tol: ToleranceSet | None = None) -> NoiseMatrix:
-    """Spectrum matrix over all monitored currents at one frequency."""
-    system = as_system(model_or_system, tol)
-    return spectrum_from_transfer(system, system.transfer(omega), omega,
-                                  tol if tol is not None else system.tol)
+def matrix_spectrum(system: System, omega: float) -> NoiseMatrix:
+    """Spectrum matrix over all monitored currents at one frequency, its PSD
+    check held to ``system.tol``."""
+    return spectrum_from_transfer(system, system.transfer(omega), omega, system.tol)
 
 
 def spectrum_from_transfer(system: System, transfer: np.ndarray, omega: float,
@@ -80,14 +78,12 @@ def spectrum_from_transfer(system: System, transfer: np.ndarray, omega: float,
     return NoiseMatrix(omega=float(omega), complex_matrix=cmat)
 
 
-def homodyne_spectrum(model_or_system: LindbladModel | System, channel: int,
-                      theta: float, omega: float,
-                      tol: ToleranceSet | None = None) -> float:
+def homodyne_spectrum(system: System, channel: int, theta: float,
+                      omega: float) -> float:
     """Output spectrum of one homodyne current, shot noise normalized to 1:
     the (0, 0) entry of :func:`matrix_spectrum` with only that current
     monitored. The channel must be one the model already monitors."""
-    system = as_system(model_or_system, tol)
     if channel not in system.model.monitored_channels:
         raise ValueError(f"channel {channel} is not monitored")
     single = system.with_monitored([(channel, theta)])
-    return float(matrix_spectrum(single, omega, tol).complex_matrix[0, 0].real)
+    return float(matrix_spectrum(single, omega).complex_matrix[0, 0].real)

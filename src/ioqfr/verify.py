@@ -25,7 +25,7 @@ from .bounds import (
     rf_positivity_residual,
 )
 from .hilbert import quadrature
-from .lindblad import System, as_system, unvec, vec
+from .lindblad import System, liouvillian, prepare, unvec, vec
 from .models import (
     REGISTRY,
     CavityParams,
@@ -38,7 +38,7 @@ from .models import (
 )
 from .numkit import DEFAULT_TOL, ToleranceSet, pinv
 from .response import complex_response, perturbation_superop
-from .spectra import homodyne_spectrum, matrix_spectrum
+from .spectra import matrix_spectrum
 
 __all__ = [
     "SuiteResult",
@@ -84,7 +84,7 @@ def finite_difference_lockin(system: System, current: int, q: int, omega: float,
     m_op = model.tangent_operator(mu, q)
     xdot = None if m_op is None else quadrature(m_op, theta)
     vsup = perturbation_superop(model, q)
-    gen = np.asarray(system.generator)
+    gen = liouvillian(model)
     rho = system.rho
     i_ss = float(np.trace(x @ rho).real)
 
@@ -144,12 +144,13 @@ def _suite_rf_closed_forms(tol: ToleranceSet) -> tuple[bool, str]:
     worst = 0.0
     for rabi in (0.5, 1.0, 2.5):
         params = RfParams(kappa=1.0, rabi=rabi)
-        system = as_system(rf_model(params, theta=np.pi / 2), tol)
+        system = prepare(rf_model(params, theta=np.pi / 2), tol)  # monitors y
+        x_view = system.with_monitored([(0, 0.0)])
         for w in omegas:
             forms = rf_closed_forms(params, w)
             r_pipe = -complex_response(system, 0, 0, w)
-            s_y = homodyne_spectrum(system, 0, np.pi / 2, w)
-            s_x = homodyne_spectrum(system, 0, 0.0, w)
+            s_y = matrix_spectrum(system, w).complex_matrix[0, 0].real
+            s_x = matrix_spectrum(x_view, w).complex_matrix[0, 0].real
             worst = max(
                 worst,
                 abs(r_pipe - forms.response_y) / abs(forms.response_y),
@@ -175,21 +176,21 @@ def _suite_rf_positivity(tol: ToleranceSet) -> tuple[bool, str]:
 
 def _suite_rf_phase_bound(tol: ToleranceSet) -> tuple[bool, str]:
     params = RfParams(kappa=1.0, rabi=2.5)
-    base = as_system(rf_model(params, theta=np.pi / 2), tol)
+    base = prepare(rf_model(params, theta=np.pi / 2), tol)
     activity = activity_matrix(base, tol)[0, 0]
     omegas = np.linspace(0.0, 5.0, 201)
     worst = np.inf
     for theta in (np.pi / 4, np.pi / 2):
         system = base.with_monitored([(0, theta)])
         for w in omegas:
-            s_theta = homodyne_spectrum(system, 0, theta, w)
+            s_theta = matrix_spectrum(system, w).complex_matrix[0, 0].real
             r_theta = complex_response(system, 0, 0, w)
             worst = min(worst, s_theta * activity - abs(r_theta) ** 2)
     return worst >= -1e-10, f"min (S_theta A - |R_theta|^2) = {worst:.3e}"
 
 
 def _suite_kerr_cat_certificate(tol: ToleranceSet) -> tuple[bool, str]:
-    report = certify_bound(kerr_cat_model(KerrCatParams()),
+    report = certify_bound(prepare(kerr_cat_model(KerrCatParams()), tol),
                            np.linspace(-5.0, 5.0, 201), tol=tol)
     lam = float(report.lambda_max.max())
     r_ex = float(report.scalar_ratios[:, 0].max())
@@ -203,7 +204,7 @@ def _suite_kerr_cat_certificate(tol: ToleranceSet) -> tuple[bool, str]:
 
 def _suite_kerr_cat_truncation(tol: ToleranceSet) -> tuple[bool, str]:
     def photon_number(n_cut: int) -> float:
-        system = as_system(kerr_cat_model(KerrCatParams(n_cut=n_cut)), tol)
+        system = prepare(kerr_cat_model(KerrCatParams(n_cut=n_cut)), tol)
         return REGISTRY["kerr_cat"].report(system.rho)["photon_number"]
 
     n12 = photon_number(12)
@@ -231,7 +232,7 @@ def _suite_classical_reduction(tol: ToleranceSet) -> tuple[bool, str]:
 
 
 def _suite_lockin_normalization(tol: ToleranceSet) -> tuple[bool, str]:
-    system = as_system(rf_model(RfParams(kappa=1.0, rabi=1.0), theta=np.pi / 2), tol)
+    system = prepare(rf_model(RfParams(kappa=1.0, rabi=1.0), theta=np.pi / 2), tol)
     worst = 0.0
     for w in (0.4, 0.9, 1.7, 2.6, 3.5):
         ref = complex_response(system, 0, 0, w)
@@ -276,12 +277,12 @@ def _builtin_systems(tol: ToleranceSet) -> list[tuple[str, System]]:
         ring[(i + 1) % 3, i] = 0.7
     two_state = np.array([[0.0, 2.0], [1.0, 0.0]])
     return [
-        ("rf kappa=1 rabi=1", as_system(rf_model(RfParams(1.0, 1.0), np.pi / 2), tol)),
-        ("rf kappa=1 rabi=2.5", as_system(rf_model(RfParams(1.0, 2.5), np.pi / 4), tol)),
-        ("kerr_cat reference point", as_system(kerr_cat_model(KerrCatParams()), tol)),
-        ("classical 2-state", as_system(classical_jump_model(
+        ("rf kappa=1 rabi=1", prepare(rf_model(RfParams(1.0, 1.0), np.pi / 2), tol)),
+        ("rf kappa=1 rabi=2.5", prepare(rf_model(RfParams(1.0, 2.5), np.pi / 4), tol)),
+        ("kerr_cat reference point", prepare(kerr_cat_model(KerrCatParams()), tol)),
+        ("classical 2-state", prepare(classical_jump_model(
             two_state, np.ones((1, 2, 2))), tol)),
-        ("classical 3-ring", as_system(classical_jump_model(
+        ("classical 3-ring", prepare(classical_jump_model(
             ring, np.ones((1, 3, 3))), tol)),
     ]
 
@@ -290,7 +291,7 @@ def _suite_structural_invariants(tol: ToleranceSet) -> tuple[bool, str]:
     rng = np.random.default_rng(7)
     failures: list[str] = []
     for name, system in _builtin_systems(tol):
-        gen = np.asarray(system.generator)
+        gen = liouvillian(system.model)
         d = system.model.dim
         scale = max(1.0, float(np.linalg.norm(gen)))
         trace_row = vec(np.eye(d)).conj() @ gen
@@ -307,7 +308,7 @@ def _suite_structural_invariants(tol: ToleranceSet) -> tuple[bool, str]:
                             f"({eigvals.real.max():.3e})")
         if system.model.monitored:
             for w in (0.0, 0.7, 3.1):
-                noise = matrix_spectrum(system, w, tol=tol)
+                noise = matrix_spectrum(system, w)
                 smin = float(np.linalg.eigvalsh(noise.real_matrix)[0])
                 if smin < -1e-8:
                     failures.append(f"{name}: noise eigenvalue {smin:.3e} at omega={w}")

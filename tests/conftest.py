@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from ioqfr import as_system
+from ioqfr import prepare
 from ioqfr.models import KerrCatParams, RfParams, kerr_cat_model, rf_model
 
 
 @pytest.fixture(scope="session")
 def rf_unit():
     """Driven emitter at kappa = rabi = 1, monitoring the pi/2 quadrature."""
-    return as_system(rf_model(RfParams(kappa=1.0, rabi=1.0), theta=np.pi / 2))
+    return prepare(rf_model(RfParams(kappa=1.0, rabi=1.0), theta=np.pi / 2))
 
 
 @pytest.fixture(scope="session")
 def kerr_ref():
     """Two-port Kerr parametric oscillator at the reference working point."""
-    return as_system(kerr_cat_model(KerrCatParams()))
+    return prepare(kerr_cat_model(KerrCatParams()))

@@ -57,7 +57,7 @@ def test_activity_gate_is_scale_free():
             hamiltonian=base.hamiltonian, channels=base.channels,
             monitored=base.monitored,
             signal=kinetic_signal(np.array([[0.1, 0.37]])))
-        act = activity_matrix(model) / c
+        act = activity_matrix(prepare(model)) / c
         unit = act if unit is None else unit
         np.testing.assert_allclose(act, unit, rtol=1e-9, atol=0)
     np.testing.assert_allclose(np.linalg.eigvalsh(unit),
@@ -86,7 +86,7 @@ def test_pure_dissipative_residual_hamiltonian_tangent(rf_unit):
     # || L^dag (i L / 2) - (-i L^dag / 2) L || = || i L^dag L || = kappa here
     np.testing.assert_allclose(check.residuals, [1.0], atol=1e-12)
     with pytest.raises(PureDissipativeViolated):
-        certify_bound(twisted, [0.0])
+        certify_bound(prepare(twisted), [0.0])
 
 
 def _random_dynamics(rng, d, n_ch):
@@ -137,7 +137,7 @@ def test_certificate_covariant_under_rate_scale():
         model = LindbladModel(hamiltonian=c * h, channels=tuple(chans),
                               monitored=((0, 0.4), (2, 1.9)),
                               signal=tangent_signal(grid))
-        reports.append(certify_bound(model, c * omegas))
+        reports.append(certify_bound(prepare(model), c * omegas))
     assert reports[1].all_passed
     for report in reports:
         np.testing.assert_array_equal(report.passed, reports[1].passed)
@@ -172,7 +172,7 @@ def test_activity_degenerate():
         hamiltonian=base.hamiltonian, channels=base.channels,
         monitored=base.monitored, signal=kinetic_signal(np.array([[0.0]])))
     with pytest.raises(ActivityDegenerate):
-        certify_bound(dead, [0.0])
+        certify_bound(prepare(dead), [0.0])
 
 
 def test_response_to_noise_symmetry(rf_unit):
@@ -245,7 +245,7 @@ def test_certify_invariant_under_signal_scale():
             hamiltonian=base.hamiltonian, channels=base.channels,
             monitored=base.monitored,
             signal=kinetic_signal(np.array([[scale]])))
-        reports.append(certify_bound(model, omegas))
+        reports.append(certify_bound(prepare(model), omegas))
     np.testing.assert_allclose(reports[0].lambda_max, reports[1].lambda_max,
                                atol=1e-10)
 
@@ -329,10 +329,10 @@ def test_certify_bound_does_not_call_ztrcon(monkeypatch):
     # LAPACK ztrcon runs them on zlatrs, about five times slower at d^2 = 900
     model = kerr_cat_model(KerrCatParams(n_cut=8))
     omegas = [0.0, 0.83, -3.1]
-    want = certify_bound(model, omegas).lambda_max
+    want = certify_bound(prepare(model), omegas).lambda_max
 
     def ztrcon(*args, **kwargs):
         raise AssertionError("lapack.ztrcon called")
 
     monkeypatch.setattr(scipy.linalg.lapack, "ztrcon", ztrcon)
-    np.testing.assert_array_equal(certify_bound(model, omegas).lambda_max, want)
+    np.testing.assert_array_equal(certify_bound(prepare(model), omegas).lambda_max, want)

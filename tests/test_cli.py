@@ -222,6 +222,11 @@ def test_config_errors_exit_1(tmp_path, capsys):
         "empty_coefficients": _custom_qubit(
             signal={"mode": "kinetic", "coefficients": [[]]}),
         "empty_tangents": _custom_qubit(signal={"mode": "tangent", "tangents": [[]]}),
+        "bool_dim": _custom_qubit(dim=True),
+        "scalar_channels": _custom_qubit(channels=5),
+        "scalar_monitored": _custom_qubit(monitored=3),
+        "bool_index": _custom_qubit(channels=[[{"row": True, "col": False, "re": 1.0}]]),
+        "bool_channel": _custom_qubit(monitored=[[False, 0.0]]),
     }
     for name, config in malformed.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(config))
@@ -260,6 +265,19 @@ def test_config_errors_exit_1(tmp_path, capsys):
     assert "not finite" in err
     code, _, err = run(capsys, "bound-report", "--model", str(no_signal))
     assert err == "error: model 'custom' has no signal parametrization\n"
+
+
+def test_config_channel_index_reads_integral_float(tmp_path, capsys):
+    outputs = []
+    for channel in (0, 0.0):
+        config = tmp_path / "qubit.json"
+        config.write_text(json.dumps(_custom_qubit(
+            monitored=[[channel, np.pi / 2]],
+            signal={"mode": "kinetic", "coefficients": [[1.0]]})))
+        code, out, err = run(capsys, "sweep", "--model", str(config), "--n", "3")
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_integer_parameter_reads_integral_float(capsys):

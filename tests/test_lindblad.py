@@ -9,11 +9,10 @@ import pytest
 
 from ioqfr import cli, lindblad, numkit
 from ioqfr.bounds import activity_matrix, certify_bound, evaluate_point
-from ioqfr.errors import NotMixing, NumericalError, SourceNotTraceless
+from ioqfr.errors import DimMismatch, NotMixing, NumericalError, SourceNotTraceless
 from ioqfr.hilbert import pauli
 from ioqfr.lindblad import (
     LindbladModel,
-    as_system,
     dissipator,
     kinetic_signal,
     liouvillian,
@@ -165,6 +164,17 @@ def test_model_validation():
                       monitored=(), signal=kinetic_signal(np.ones((2, 1))))
 
 
+def test_monitored_channel_index_must_be_integral():
+    # int(0.7) would monitor channel 0; an integral float names its channel
+    channels = (pauli("minus"), pauli("plus"))
+    with pytest.raises(DimMismatch, match=r"index 0.7 is not an integer in \[0, 2\)"):
+        LindbladModel(hamiltonian=np.zeros((2, 2)), channels=channels,
+                      monitored=((0.7, 0.0),))
+    model = LindbladModel(hamiltonian=np.zeros((2, 2)), channels=channels,
+                          monitored=((1.0, 0.0),))
+    assert model.monitored == ((1, 0.0),)
+
+
 def test_hamiltonian_check_is_scale_free():
     # an anti-Hermitian part of 1e-4 relative to ||H|| is rejected at every
     # scale, and an exactly Hermitian H is accepted at every scale
@@ -191,8 +201,8 @@ def test_model_fingerprint_sensitivity():
 def test_kerr_unbiased_gap_degrades():
     # removing the bias and detuning at pump 2 leaves a slow but still
     # mixing generator; the near-degeneracy is visible in the gap
-    biased = as_system(kerr_cat_model(KerrCatParams()))
-    bare = as_system(kerr_cat_model(
+    biased = prepare(kerr_cat_model(KerrCatParams()))
+    bare = prepare(kerr_cat_model(
         KerrCatParams(bias=0.0, detuning=0.0)))
     assert bare.steady.gap < 0.5 * biased.steady.gap
 
@@ -200,7 +210,7 @@ def test_kerr_unbiased_gap_degrades():
 def test_kerr_strong_pump_not_mixing():
     # at pump 8 the two steady lobes decouple beyond the mixing threshold
     with pytest.raises(NotMixing):
-        as_system(kerr_cat_model(
+        prepare(kerr_cat_model(
             KerrCatParams(n_cut=24, bias=0.0, detuning=0.0, two_photon=8.0)))
 
 
@@ -246,7 +256,7 @@ def _dense_transfer(system, omega):
     """C (-i omega - L)^(-1) Y from one dense numpy solve. The trace row and
     vec(I) column border the matrix, which keeps it nonsingular at omega = 0
     and pins the solution traceless; at omega != 0 the border is inert."""
-    gen = system.generator
+    gen = liouvillian(system.model)
     n = gen.shape[0]
     unit = vec(np.eye(math.isqrt(n)))
     bordered = np.zeros((n + 1, n + 1), dtype=complex)
