@@ -126,14 +126,16 @@ def pure_dissipative_residuals(model: LindbladModel,
                                 ok=bool(np.all(residuals <= thresholds)))
 
 
-def applicable_activity(system: System, tol: ToleranceSet = DEFAULT_TOL) -> np.ndarray:
+def applicable_activity(system: System, tol: ToleranceSet | None = None) -> np.ndarray:
     """The activity matrix, once the bound is known to apply.
 
     Raises :class:`ActivityDegenerate` when a signal has activity at or below
-    ``tol.activity_floor`` and :class:`PureDissipativeViolated` when the
-    tangents fail :func:`pure_dissipative_residuals`; either makes the bound
-    meaningless rather than merely violated.
+    ``tol.activity_floor`` (``system.tol`` when ``tol`` is None) and
+    :class:`PureDissipativeViolated` when the tangents fail
+    :func:`pure_dissipative_residuals`; either makes the bound meaningless
+    rather than merely violated.
     """
+    tol = tol if tol is not None else system.tol
     activity = activity_matrix(system, tol)
     diag = np.diag(activity)
     if np.min(diag) <= tol.activity_floor:
@@ -245,13 +247,15 @@ class BoundReport:
 
 
 def certify_bound(system: System, omegas: Sequence[float],
-                  tol: ToleranceSet = DEFAULT_TOL) -> BoundReport:
-    """Certify J(omega) <= A over a frequency grid.
+                  tol: ToleranceSet | None = None) -> BoundReport:
+    """Certify J(omega) <= A over a frequency grid, with the tolerances
+    ``tol`` (``system.tol`` when None).
 
     The activity comes from :func:`applicable_activity`, which raises
     :class:`ActivityDegenerate` or :class:`PureDissipativeViolated` when the
     bound does not apply.
     """
+    tol = tol if tol is not None else system.tol
     activity = applicable_activity(system, tol)
     normalizer = real_embedding(numkit.psd_inv_sqrt(activity, tol.pinv_rel,
                                                     herm=tol.herm))
@@ -422,7 +426,7 @@ def classical_reduction_check(rates: np.ndarray, weights: np.ndarray,
     steady_error = float(np.max(np.abs(p_embedded - p_classical)))
     offdiag_error = float(np.max(np.abs(offdiag))) if offdiag.size else 0.0
 
-    act_embedded = activity_matrix(system, tol)
+    act_embedded = activity_matrix(system)
     weights = np.asarray(weights, dtype=float)
     if weights.ndim == 2:
         weights = weights[np.newaxis, :, :]

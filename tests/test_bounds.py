@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ioqfr import bounds
 from ioqfr.bounds import (
     activity_matrix,
+    applicable_activity,
     certify_bound,
     classical_reduction_check,
     coherent_ceiling_check,
@@ -164,6 +165,23 @@ def test_verdict_is_scale_free(monkeypatch):
         inflated = certify_bound(system, scale * omegas)
         monkeypatch.undo()
         assert not inflated.passed.any(), scale
+
+
+def test_certificate_reads_the_systems_tolerances(monkeypatch):
+    # a System prepared with its own ToleranceSet is certified with that set
+    tol = DEFAULT_TOL.replacing(bound_margin=1e-3)
+    system = prepare(rf_model(RfParams(1.0, 1.0), np.pi / 2), tol)
+    assert certify_bound(system, [0.5]).metadata["tolerances"]["bound_margin"] == 1e-3
+    # J 1e-5 above A is within a margin of 1e-3 and beyond one of 1e-8
+    over = (1.0 + 1e-5) * activity_matrix(system)
+    monkeypatch.setattr(bounds, "response_to_noise", lambda r, s, rel: over)
+    assert certify_bound(system, [0.5]).all_passed
+    assert not certify_bound(system, [0.5], DEFAULT_TOL).all_passed
+    monkeypatch.undo()
+    # the activity 1/3 is at or below a floor of 1
+    floored = prepare(system.model, tol.replacing(activity_floor=1.0))
+    with pytest.raises(ActivityDegenerate):
+        applicable_activity(floored)
 
 
 def test_activity_degenerate():

@@ -297,8 +297,8 @@ def test_non_finite_frequency_is_input_error(rf_unit, omega):
 
 def test_evaluate_point_thread_safe():
     # library callers may evaluate points of one System from several threads;
-    # each solve shifts its own copy of the triangle, so results are
-    # bit-identical
+    # each solve shifts the stored triangle under the factor's lock, so
+    # results are bit-identical
     system = prepare(kerr_cat_model(KerrCatParams(n_cut=8)))
     activity = activity_matrix(system)
     normalizer = real_embedding(psd_inv_sqrt(activity))

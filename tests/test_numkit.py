@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -173,6 +174,44 @@ def test_schur_factor_gates():
                            DEFAULT_TOL.replacing(solve_residual=1e-30))
     with pytest.raises(NumericalError, match="real"):
         numkit.SchurFactor(np.eye(2, dtype=complex))
+
+
+def test_schur_factor_solves_after_a_gate_raise():
+    # the gate raises with shift - T_kk already written into the stored
+    # diagonal; the strict upper triangle is untouched, and the next solve
+    # writes its own diagonal
+    rng = np.random.default_rng(11)
+    core = np.triu(rng.standard_normal((8, 8)), 1) + np.diag(-1.0 - rng.random(8))
+    core[:2, :2] = [[-1e-9, 1.0], [-1.0, -1e-9]]
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    a = q @ core @ q.T
+    b = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    factor = numkit.SchurFactor(a, DEFAULT_TOL.replacing(cond_max=1e6))
+    strict = np.triu(factor._shifted(0.0)[0], 1).copy()
+    with pytest.raises(SingularMatrix, match="condition number"):
+        factor.solve(1.0j, b)
+    np.testing.assert_array_equal(np.triu(factor._shifted(0.0)[0], 1), strict)
+    shift = 0.5 + 3.0j
+    want = np.linalg.solve(shift * np.eye(8) - a, b)
+    np.testing.assert_allclose(factor.solve(shift, b), want, rtol=1e-10)
+
+
+def test_schur_solve_allocates_no_triangle():
+    # a solve reads the stored triangle in place: it allocates no order x
+    # order array, neither a shifted copy nor the copy f2py makes of a
+    # triangle that is not in Fortran order
+    n = 300
+    rng = np.random.default_rng(12)
+    factor = numkit.SchurFactor(rng.standard_normal((n, n)))
+    rhs = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    factor.solve_triangular(40.0j, rhs)
+    tracemalloc.start()
+    try:
+        factor.solve_triangular(40.0j, rhs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * np.dtype(complex).itemsize / 4
 
 
 def _assert_is_ztrcon_estimate(tri, anorm):
