@@ -13,7 +13,7 @@ of the complex (p, p) Hermitian matrix
     J(omega) = R(omega)^H pinv(S(omega)) R(omega),
 
 each of its eigenvalues counted twice, and the certificate is the complex
-inequality J <= A. Both sides read only the model's tangent grid M[mu][q].
+inequality J <= A. Both sides read only the model's tangent array M[mu, q].
 Every certificate starts at ``applicable_activity``, the one gate that
 decides whether the bound applies at all.
 
@@ -72,13 +72,6 @@ __all__ = [
 ]
 
 
-def _tangent_stack(model: LindbladModel) -> np.ndarray:
-    """The tangent grid as an (n_channels, n_params, d, d) array; None -> 0."""
-    zero = np.zeros((model.dim, model.dim))
-    return np.array([[zero if m is None else m for m in row] for row in model.tangents],
-                    dtype=complex)
-
-
 def activity_matrix(system: System, tol: ToleranceSet | None = None) -> np.ndarray:
     """Signal-activity matrix A_qr = 4 Re sum_mu Tr[M_mu_q^dag M_mu_r rho_ss].
 
@@ -89,7 +82,7 @@ def activity_matrix(system: System, tol: ToleranceSet | None = None) -> np.ndarr
     eigenvalue, so the check has no units.
     """
     tolerances = tol if tol is not None else system.tol
-    tangents = _tangent_stack(system.model)
+    tangents = system.model.tangents
     act = 4.0 * np.einsum("mqab,mrab->qr", tangents.conj(), tangents @ system.rho).real
     act = 0.5 * (act + act.T)
     eigs = np.linalg.eigvalsh(act)
@@ -116,7 +109,7 @@ class PureDissipativeCheck:
 
 def pure_dissipative_residuals(model: LindbladModel,
                                tol: ToleranceSet = DEFAULT_TOL) -> PureDissipativeCheck:
-    tangents = _tangent_stack(model)
+    tangents = model.tangents
     channels = np.array(model.channels)
     k = np.einsum("mba,mqbc->qac", channels.conj(), tangents)
     residuals = np.linalg.norm(k - k.conj().transpose(0, 2, 1), axis=(1, 2))

@@ -144,18 +144,6 @@ class SignalSpec:
     def mode(self) -> str:
         return "kinetic" if self.coefficients is not None else "tangent"
 
-    @property
-    def n_channels(self) -> int:
-        if self.coefficients is not None:
-            return self.coefficients.shape[0]
-        return len(self.tangents)
-
-    @property
-    def n_params(self) -> int:
-        if self.coefficients is not None:
-            return self.coefficients.shape[1]
-        return len(self.tangents[0])
-
 
 def kinetic_signal(coefficients: np.ndarray) -> SignalSpec:
     return SignalSpec(coefficients=np.asarray(coefficients, dtype=float))
@@ -177,17 +165,17 @@ class LindbladModel:
     defines one measured current with quadrature
     ``exp(-i theta) L + exp(i theta) L^dag`` and unit shot noise.
 
-    The signal is resolved once into the tangent grid :attr:`tangents`, the
-    only form of it that consumers read: a kinetic coefficient b gives
-    (b / 2) L_mu, or None where b = 0; explicit tangents are kept as given.
+    The signal is resolved once into the read-only tangent array
+    :attr:`tangents`, the only form of it that consumers read: a kinetic
+    coefficient b gives (b / 2) L_mu, and an explicit tangent is copied in;
+    a zero coefficient or a None cell is a zero block.
     """
 
     hamiltonian: np.ndarray
     channels: tuple[np.ndarray, ...] = ()
     monitored: tuple[tuple[int, float], ...] = ()
     signal: SignalSpec | None = None
-    _tangents: tuple[tuple[np.ndarray | None, ...], ...] | None = field(
-        init=False, repr=False, default=None)
+    _tangents: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         h = _readonly(self.hamiltonian)
@@ -216,23 +204,24 @@ class LindbladModel:
         object.__setattr__(self, "monitored", mon)
 
         if self.signal is not None:
-            if self.signal.n_channels != len(chans):
+            b, grid = self.signal.coefficients, self.signal.tangents
+            covered = len(grid) if b is None else b.shape[0]
+            if covered != len(chans):
                 raise DimMismatch(
-                    f"signal covers {self.signal.n_channels} channels, "
-                    f"model has {len(chans)}")
-            if self.signal.coefficients is not None:
-                b = self.signal.coefficients
-                scaled = 0.5 * b[:, :, None, None] * np.array(chans)[:, None]
-                scaled.setflags(write=False)
-                grid = tuple(tuple(None if b_q == 0.0 else m for b_q, m in zip(row, ms))
-                             for row, ms in zip(b.tolist(), scaled))
+                    f"signal covers {covered} channels, model has {len(chans)}")
+            if b is not None:
+                ops = np.array(chans, dtype=complex).reshape(len(chans), 1, *h.shape)
+                stack = 0.5 * b[:, :, None, None] * ops
             else:
-                grid = self.signal.tangents
-                for row in grid:
-                    for m in row:
-                        if m is not None and m.shape != h.shape:
-                            raise DimMismatch("tangent operator dimension mismatch")
-            object.__setattr__(self, "_tangents", grid)
+                stack = np.zeros((len(grid), len(grid[0])) + h.shape, dtype=complex)
+                for mu, row in enumerate(grid):
+                    for q, m in enumerate(row):
+                        if m is not None:
+                            if m.shape != h.shape:
+                                raise DimMismatch("tangent operator dimension mismatch")
+                            stack[mu, q] = m
+            stack.setflags(write=False)
+            object.__setattr__(self, "_tangents", stack)
 
     @property
     def dim(self) -> int:
@@ -244,23 +233,24 @@ class LindbladModel:
 
     @property
     def n_params(self) -> int:
-        return 0 if self.signal is None else self.signal.n_params
+        return 0 if self._tangents is None else self._tangents.shape[1]
 
     @property
     def monitored_channels(self) -> tuple[int, ...]:
         return tuple(mu for mu, _ in self.monitored)
 
     @property
-    def tangents(self) -> tuple[tuple[np.ndarray | None, ...], ...]:
-        """The read-only tangent grid M[mu][q]; None where parameter q does
-        not touch channel mu. Raises ValueError when the model has no signal."""
+    def tangents(self) -> np.ndarray:
+        """The read-only (n_channels, n_params, d, d) tangent array
+        M[mu, q] = dL_mu / d eps_q; a zero block where parameter q does not
+        touch channel mu. Raises ValueError when the model has no signal."""
         if self._tangents is None:
             raise ValueError("model has no signal parametrization")
         return self._tangents
 
-    def tangent_operator(self, mu: int, q: int) -> np.ndarray | None:
-        """dL_mu / d eps_q, or None when the parameter does not touch mu."""
-        return self.tangents[mu][q]
+    def tangent_operator(self, mu: int, q: int) -> np.ndarray:
+        """dL_mu / d eps_q; the zero block when the parameter does not touch mu."""
+        return self.tangents[mu, q]
 
 
 def model_fingerprint(model: LindbladModel) -> str:
@@ -485,15 +475,12 @@ def insertion_state(coupling: np.ndarray, theta: float, rho: np.ndarray) -> np.n
 
 def perturbation_state(model: LindbladModel, q: int, rho: np.ndarray) -> np.ndarray:
     """(d L / d eps_q) rho evaluated directly on a state; traceless."""
-    tangents = model.tangents
+    tangents = model.tangents[:, q]
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (model.dim, model.dim):
         raise DimMismatch(f"state shape {rho.shape} does not match dim {model.dim}")
     out = np.zeros_like(rho)
-    for coupling, row in zip(model.channels, tangents):
-        m = row[q]
-        if m is None:
-            continue
+    for coupling, m in zip(model.channels, tangents):
         cross = m.conj().T @ coupling + coupling.conj().T @ m
         out += (m @ rho @ coupling.conj().T
                 + coupling @ rho @ m.conj().T
@@ -573,8 +560,7 @@ def _realization(model: LindbladModel, rho: np.ndarray) -> tuple:
     for a, (mu, th) in enumerate(model.monitored):
         for q in range(n_par):
             m = model.tangent_operator(mu, q)
-            if m is not None:
-                direct[a, q] = np.trace(quadrature(m, th) @ rho).real
+            direct[a, q] = np.trace(quadrature(m, th) @ rho).real
     direct.setflags(write=False)
     return sources, observables, direct
 

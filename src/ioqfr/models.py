@@ -232,7 +232,7 @@ def classical_stationary(rates: np.ndarray,
     m[0, :] = 1.0
     rhs = np.zeros(n)
     rhs[0] = 1.0
-    p = np.real(numkit.LUFactor(m, tol).solve(rhs))
+    p = numkit.LUFactor(m, tol).solve(rhs)
     if np.min(p) < -tol.psd:
         raise ValueError(f"stationary distribution has negative weight {np.min(p):.3e}")
     return p / p.sum()

@@ -51,10 +51,7 @@ def perturbation_superop(model: LindbladModel, q: int) -> np.ndarray:
     d = model.dim
     eye = np.eye(d)
     out = np.zeros((d * d, d * d), dtype=complex)
-    for coupling, row in zip(model.channels, model.tangents):
-        m = row[q]
-        if m is None:
-            continue
+    for coupling, m in zip(model.channels, model.tangents[:, q]):
         cross = m.conj().T @ coupling + coupling.conj().T @ m
         out += (np.kron(coupling.conj(), m)
                 + np.kron(m.conj(), coupling)

@@ -81,8 +81,7 @@ def finite_difference_lockin(system: System, current: int, q: int, omega: float,
     model = system.model
     mu, theta = model.monitored[current]
     x = quadrature(model.channels[mu], theta)
-    m_op = model.tangent_operator(mu, q)
-    xdot = None if m_op is None else quadrature(m_op, theta)
+    xdot = quadrature(model.tangent_operator(mu, q), theta)
     vsup = perturbation_superop(model, q)
     gen = liouvillian(model)
     rho = system.rho
@@ -113,8 +112,7 @@ def finite_difference_lockin(system: System, current: int, q: int, omega: float,
     for k in range(ts.size):
         state = unvec(sol.y[:, k])
         values[k] = float(np.trace(x @ state).real)
-        if xdot is not None:
-            values[k] += amplitude * phi(ts[k]) * float(np.trace(xdot @ state).real)
+        values[k] += amplitude * phi(ts[k]) * float(np.trace(xdot @ state).real)
     delta = values - i_ss
     norm = np.sqrt(2.0) / (window * amplitude)
     re = norm * simpson(np.cos(omega * ts) * delta, x=ts)

@@ -1,4 +1,5 @@
 import argparse
+import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -20,6 +21,7 @@ from ioqfr.lindblad import (
     prepare,
     project_traceless,
     steady_state,
+    tangent_signal,
     unvec,
     vec,
 )
@@ -162,6 +164,58 @@ def test_model_validation():
     with pytest.raises(ValueError):
         LindbladModel(hamiltonian=np.zeros((2, 2)), channels=(pauli("minus"),),
                       monitored=(), signal=kinetic_signal(np.ones((2, 1))))
+
+
+def _qubit_signal(signal):
+    return lambda: LindbladModel(hamiltonian=np.zeros((2, 2)),
+                                 channels=(pauli("minus"), pauli("plus")), signal=signal)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (_qubit_signal(kinetic_signal([[1.0]])), DimMismatch,
+     "signal covers 1 channels, model has 2"),
+    (_qubit_signal(tangent_signal([[np.eye(3)], [None]])), DimMismatch,
+     "tangent operator dimension mismatch"),
+    (lambda: tangent_signal([[pauli("minus"), None], [None]]), DimMismatch,
+     "unequal lengths"),
+    (lambda: lindblad.SignalSpec(), ValueError, "exactly one"),
+    (lambda: lindblad.SignalSpec(coefficients=np.ones((2, 1)),
+                                 tangents=((None,), (None,))), ValueError, "exactly one"),
+], ids=["kinetic_rows", "tangent_shape", "ragged", "neither", "both"])
+def test_signal_validation(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
+def test_tangents_are_one_read_only_array():
+    n_cut = 6
+    model = kerr_cat_model(KerrCatParams(n_cut=n_cut))
+    tangents = model.tangents
+    assert isinstance(tangents, np.ndarray) and not tangents.flags.writeable
+    assert tangents.shape == (2, 2, n_cut, n_cut)
+    assert not np.any(tangents[0, 1]) and not np.any(tangents[1, 0])
+    np.testing.assert_array_equal(tangents[0, 0], 0.5 * model.channels[0])
+    np.testing.assert_array_equal(model.tangent_operator(1, 0), np.zeros((n_cut, n_cut)))
+
+
+def test_null_tangent_cell_resolves_to_zeros(tmp_path):
+    config = {
+        "model": "custom", "dim": 2,
+        "hamiltonian": [{"row": 0, "col": 1, "re": 0.5}, {"row": 1, "col": 0, "re": 0.5}],
+        "channels": [[{"row": 1, "col": 0, "re": 1.0}], [{"row": 0, "col": 1, "re": 0.5}]],
+        "monitored": [[0, 0.0]],
+        "signal": {"mode": "tangent",
+                   "tangents": [[[{"row": 1, "col": 0, "re": 0.5}], None],
+                                [None, [{"row": 0, "col": 1, "re": 0.25}]]]},
+    }
+    path = tmp_path / "tangent.json"
+    path.write_text(json.dumps(config))
+    spec = cli._resolve_model(argparse.Namespace(model=str(path), param=None, theta=None))
+    model = spec.model("sweep")
+    assert model.tangents.shape == (2, 2, 2, 2)
+    np.testing.assert_array_equal(model.tangents[0, 1], np.zeros((2, 2)))
+    np.testing.assert_array_equal(model.tangent_operator(1, 0), np.zeros((2, 2)))
+    np.testing.assert_array_equal(model.tangents[1, 1], 0.5 * model.channels[1])
 
 
 def test_monitored_channel_index_must_be_integral():

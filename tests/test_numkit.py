@@ -42,6 +42,33 @@ def test_lu_solve_matrix_rhs():
     np.testing.assert_allclose(a @ x, b, atol=1e-12)
 
 
+def test_lu_keeps_real_input_real():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((8, 8))
+    factor = numkit.LUFactor(a)
+    assert factor._lu.dtype == np.float64
+    x = factor.solve(a @ np.arange(8.0))
+    assert x.dtype == np.float64
+    np.testing.assert_allclose(x, np.arange(8.0), atol=1e-12)
+    z = factor.solve(a @ (1j * np.arange(8.0)))  # a complex right-hand side stays complex
+    np.testing.assert_allclose(z, 1j * np.arange(8.0), atol=1e-12)
+
+
+def test_lu_factor_memory_on_real_input():
+    # a real matrix takes one real copy for its LU; a complex copy and a
+    # complex LU of it would take 4 x 8 n^2 bytes
+    n = 300
+    a = np.random.default_rng(4).standard_normal((n, n)) + n * np.eye(n)
+    tracemalloc.start()
+    try:
+        factor = numkit.LUFactor(a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert factor.rcond > 0.0
+    assert peak < 3 * 8 * n * n
+
+
 def test_singular_matrix_raises():
     a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
     with pytest.raises(SingularMatrix):

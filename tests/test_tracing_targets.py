@@ -27,6 +27,24 @@ print(json.dumps({"layers": sorted({t[0] for t in tracing.TARGETS}),
                   "installed": sorted(tracer.installed)}))
 """
 
+# A traced scan_models worker in miniature: the first ops of its first
+# certificate, summarized and reduced as run.py reduces a traced run. Its
+# ops are the only ones that call certify_bound, and the per-point metrics
+# are absent when no evaluate_point span was traced.
+SCAN_PROBE = """
+import json
+import ioqfr
+import tracing
+tracer = tracing.Tracer()
+tracer.install()
+import run, workloads
+for op in workloads.build("scan_models", 1, 0).ops[:12]:
+    op()
+worker = {"trace": tracing.summarize(tracer), "import_s": 0.0, "total_s": 1.0}
+metrics, absent = run.per_layer([worker], [worker])
+print(json.dumps({"metrics": sorted(metrics), "absent": absent}))
+"""
+
 
 def test_tracer_installs_every_layer():
     src = os.path.dirname(os.path.dirname(ioqfr.__file__))
@@ -36,3 +54,13 @@ def test_tracer_installs_every_layer():
     result = json.loads(out)
     assert result["layers"]
     assert sorted(set(result["layers"]) - set(result["installed"])) == []
+
+
+def test_traced_scan_reports_every_metric():
+    src = os.path.dirname(os.path.dirname(ioqfr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(PERFBENCH)]))
+    out = subprocess.run([sys.executable, "-c", SCAN_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    result = json.loads(out)
+    assert "bounds.evaluate_point.p50_ms" in result["metrics"]
+    assert result["absent"] == []
