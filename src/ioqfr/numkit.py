@@ -133,16 +133,23 @@ class SchurFactor:
     backward error ||a Q - Q R||_F must stay below ``tol.solve_residual``
     times ||a||_F. ``scipy.linalg.rsf2csf`` then makes it complex upper
     triangular. Z is kept read-only, :attr:`eigenvalues` is diag(T), and -T
-    is kept once, as a full upper triangle in Fortran order, the layout
-    LAPACK reads in place.
+    is kept once, as the upper half of an order x order array in Fortran
+    order, the layout LAPACK reads in place; the strict lower half of the
+    same array holds -|T|^T.
 
     Every shifted solve is one triangular solve, gated on its 1-norm
-    condition estimate (:func:`_tri_rcond`, the number LAPACK ztrcon gives)
-    against ``tol.cond_max`` and residual-checked like :class:`LUFactor`.
+    condition number against ``tol.cond_max`` and residual-checked like
+    :class:`LUFactor`. The gate first takes the upper bound of
+    :func:`_tri_inverse_bound`: one lower-triangular solve on the stored
+    array with |shift - T_kk| on its diagonal, the transposed comparison
+    matrix of shift - T (every other LAPACK call here reads only the upper
+    half). Only a shift whose bound reaches ``cond_max`` runs the estimate
+    LAPACK ztrcon gives (:func:`_tri_rcond`, a lower bound on the same
+    number), so every verdict is that estimate's.
     ||shift - T||_1 comes from the strict-upper column sums of |T|, kept
-    from the set-up. A solve writes shift - T_kk into the stored diagonal,
-    so it holds the factor's lock until its last LAPACK call: solves on one
-    factor run one at a time.
+    from the set-up. A solve writes into the stored diagonal, so it holds
+    the factor's lock until its last LAPACK call: solves on one factor run
+    one at a time.
     """
 
     def __init__(self, a: np.ndarray, tol: ToleranceSet = DEFAULT_TOL):
@@ -165,18 +172,22 @@ class SchurFactor:
         self.eigenvalues = np.diagonal(t).copy()
         self._strict_fro2 = max(float(np.linalg.norm(t) ** 2
                                       - np.linalg.norm(self.eigenvalues) ** 2), 0.0)
-        # column sums of the strict upper |T|, 128 columns at a time so that
-        # no temporary of order x order is made
-        self._strict_colsum = np.empty(len(t))
-        for j in range(0, len(t), 128):
-            block = np.abs(t[:j + 128, j:j + 128])
-            self._strict_colsum[j:j + 128] = np.triu(block, 1 - j).sum(axis=0)
         # -T goes into a fresh array made after the set-up temporaries are
         # freed. Left in rsf2csf's array, which is allocated among them, it
         # read a peak RSS of 155.3 MB on perfbench's sweep_d900 against
         # 149.1 MB for the copy (2 cores): heap placement, not its size
-        self._triangle = np.array(np.negative(t, out=t), order="F")
+        self._triangle = triangle = np.array(np.negative(t, out=t), order="F")
         del t
+        # column sums of the strict upper |T|, and -|T|^T written into the
+        # strict lower half, 128 columns at a time so that no temporary of
+        # order x order is made
+        order = len(triangle)
+        self._strict_colsum = np.empty(order)
+        for j in range(0, order, 128):
+            block = np.triu(np.abs(triangle[:j + 128, j:j + 128]), 1 - j)
+            self._strict_colsum[j:j + 128] = block.sum(axis=0)
+            np.copyto(triangle[j:j + 128, :j + 128], -block.T,
+                      where=np.tri(*block.T.shape, j - 1, dtype=bool))
         self._lock = threading.Lock()
         for array in (self.eigenvalues, self._strict_colsum, self._z):
             array.setflags(write=False)
@@ -190,10 +201,10 @@ class SchurFactor:
         return self._z @ w
 
     def _shifted(self, shift: complex) -> tuple[np.ndarray, np.ndarray, float]:
-        """shift - T: the stored triangle with shift - T_kk written into its
-        diagonal, that diagonal and its 1-norm, the largest column sum of
-        |shift - T|. The triangle holds this shift until the next call, so
-        a solve calls it under the factor's lock."""
+        """shift - T: the stored array with shift - T_kk written into its
+        diagonal, that diagonal and the 1-norm of the upper triangle, the
+        largest column sum of |shift - T|. The array holds this shift until
+        the next call, so a solve calls it under the factor's lock."""
         diagonal = shift - self.eigenvalues
         np.fill_diagonal(self._triangle, diagonal)
         anorm = float(np.max(self._strict_colsum + np.abs(diagonal), initial=0.0))
@@ -204,7 +215,8 @@ class SchurFactor:
         rhs = np.asarray(rhs, dtype=complex)
         with self._lock:
             shifted, diagonal, anorm = self._shifted(shift)
-            _check_rcond(_tri_rcond(shifted, anorm), self._tol)
+            if not anorm * _tri_inverse_bound(shifted) < self._tol.cond_max:
+                _check_rcond(_tri_rcond(shifted, anorm), self._tol)
             x, info = lapack.ztrtrs(shifted, rhs)
             if info != 0:
                 raise SingularMatrix(f"triangular solve failed (info={info})")
@@ -218,8 +230,37 @@ class SchurFactor:
         return self.from_schur(self.solve_triangular(shift, self.to_schur(b)))
 
 
+_EPS = np.finfo(float).eps
 _SAFMIN = np.finfo(float).tiny   # LAPACK dlamch("S")
 _HAGER_ITMAX = 5                 # zlacn2 ITMAX
+
+
+def _tri_inverse_bound(tri: np.ndarray) -> float:
+    """Upper bound on ||U^-1||_1 for the upper triangle U of ``tri``, whose
+    strict lower half holds -|U|^T.
+
+    With the diagonal set to |u_kk|, the lower half of ``tri`` is M(U)^T,
+    the transposed comparison matrix of U. |U^-1| <= M(U)^-1 entrywise, so
+    ||U^-1||_1 <= ||M(U)^-T e||_inf: one ztrtrs solve, after which the
+    diagonal is written back. The solve adds only nonnegative terms, so its
+    componentwise relative error is of order n^2 u (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, sections 8.2-8.3);
+    the result is inflated by 4 (n + 1)^2 eps, several times that, to
+    stay an upper bound after rounding. An empty or singular triangle gives
+    inf, and a solve that overflows inf or nan, so that no finite limit
+    compares above either.
+    """
+    n = len(tri)
+    if n == 0:
+        return math.inf
+    diagonal = np.diagonal(tri).copy()
+    np.fill_diagonal(tri, np.abs(diagonal))
+    y, info = lapack.ztrtrs(tri, np.ones(n, dtype=complex), lower=1)
+    np.fill_diagonal(tri, diagonal)
+    if info != 0:
+        return math.inf
+    return float(y.real.max()) * (1.0 + 4.0 * (n + 1) ** 2 * _EPS)
+
 
 
 def _tri_rcond(tri: np.ndarray, anorm: float) -> float:

@@ -64,6 +64,12 @@ class SuiteResult:
 # ---------------------------------------------------------------------------
 # time-domain lock-in oracle
 
+def _expectations(op: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Re Tr[op rho_k] for every column vec(rho_k) of ``states``, as
+    Tr[op rho] = vec(op^T) . vec(rho)."""
+    return (vec(op.T) @ states).real
+
+
 def finite_difference_lockin(system: System, current: int, q: int, omega: float,
                              envelope: str = "cos") -> complex:
     """Lock-in coefficients from direct integration of the driven master
@@ -108,11 +114,7 @@ def finite_difference_lockin(system: System, current: int, q: int, omega: float,
                     t_eval=ts, rtol=1e-11, atol=1e-13)
     if not sol.success:
         raise RuntimeError(f"time integration failed: {sol.message}")
-    values = np.empty(ts.size)
-    for k in range(ts.size):
-        state = unvec(sol.y[:, k])
-        values[k] = float(np.trace(x @ state).real)
-        values[k] += amplitude * phi(ts[k]) * float(np.trace(xdot @ state).real)
+    values = _expectations(x, sol.y) + amplitude * phi(ts) * _expectations(xdot, sol.y)
     delta = values - i_ss
     norm = np.sqrt(2.0) / (window * amplitude)
     re = norm * simpson(np.cos(omega * ts) * delta, x=ts)

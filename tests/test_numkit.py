@@ -177,6 +177,9 @@ def test_schur_factor_matches_rsf2csf():
     t = factor.to_schur(a @ z)
     np.testing.assert_allclose(np.tril(t, -1), 0.0, atol=1e-12)
     np.testing.assert_allclose(np.diagonal(t), factor.eigenvalues, atol=1e-12)
+    # the stored array is -T above the diagonal and -|T|^T below it
+    stored = factor._triangle
+    np.testing.assert_array_equal(np.tril(stored, -1), -np.abs(np.triu(stored, 1)).T)
     reference, _ = scipy.linalg.rsf2csf(*scipy.linalg.schur(a, output="real"))
     gaps = np.abs(factor.eigenvalues[:, None] - np.diagonal(reference)[None, :])
     assert gaps.min(axis=0).max() <= 1e-12 and gaps.min(axis=1).max() <= 1e-12
@@ -203,21 +206,28 @@ def test_schur_factor_gates():
         numkit.SchurFactor(np.eye(2, dtype=complex))
 
 
-def test_schur_factor_solves_after_a_gate_raise():
-    # the gate raises with shift - T_kk already written into the stored
-    # diagonal; the strict upper triangle is untouched, and the next solve
-    # writes its own diagonal
-    rng = np.random.default_rng(11)
+def _near_singular_at_1j(rng):
+    # a real matrix of order 8 with the eigenvalue pair -1e-9 +- 1j
     core = np.triu(rng.standard_normal((8, 8)), 1) + np.diag(-1.0 - rng.random(8))
     core[:2, :2] = [[-1e-9, 1.0], [-1.0, -1e-9]]
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    a = q @ core @ q.T
+    return q @ core @ q.T
+
+
+def test_schur_factor_solves_after_a_gate_raise():
+    # the gate raises with shift - T_kk already written into the stored
+    # diagonal; the strict upper and lower halves are untouched, and the
+    # next solve writes its own diagonal
+    rng = np.random.default_rng(11)
+    a = _near_singular_at_1j(rng)
     b = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     factor = numkit.SchurFactor(a, DEFAULT_TOL.replacing(cond_max=1e6))
     strict = np.triu(factor._shifted(0.0)[0], 1).copy()
+    lower = np.tril(factor._shifted(0.0)[0], -1).copy()
     with pytest.raises(SingularMatrix, match="condition number"):
         factor.solve(1.0j, b)
     np.testing.assert_array_equal(np.triu(factor._shifted(0.0)[0], 1), strict)
+    np.testing.assert_array_equal(np.tril(factor._shifted(0.0)[0], -1), lower)
     shift = 0.5 + 3.0j
     want = np.linalg.solve(shift * np.eye(8) - a, b)
     np.testing.assert_allclose(factor.solve(shift, b), want, rtol=1e-10)
@@ -251,12 +261,116 @@ def _assert_is_ztrcon_estimate(tri, anorm):
     assert 1.0 / (anorm * got) <= np.linalg.norm(np.linalg.inv(tri), 1) * (1.0 + 1e-12)
 
 
+_KERR_CAT_OMEGAS = (0.0, 1e-6, 0.83, -0.83, 100.0)
+
+
 def test_tri_rcond_is_ztrcon_on_kerr_cat():
     factor = prepare(kerr_cat_model(KerrCatParams(n_cut=12))).steady.factor
-    for omega in (0.0, 1e-6, 0.83, -0.83, 100.0):
+    for omega in _KERR_CAT_OMEGAS:
+        # the stored array holds -|T|^T below the diagonal; the triangle is
+        # its upper half
         shifted, _, anorm = factor._shifted(-1j * omega)
-        assert abs(anorm - np.linalg.norm(shifted, 1)) <= 1e-14 * anorm
-        _assert_is_ztrcon_estimate(shifted, anorm)
+        triangle = np.asfortranarray(np.triu(shifted))
+        assert abs(anorm - np.linalg.norm(triangle, 1)) <= 1e-14 * anorm
+        _assert_is_ztrcon_estimate(triangle, anorm)
+
+
+def _counting(monkeypatch, name):
+    # replace numkit.<name> by a wrapper that records every call
+    calls, original = [], getattr(numkit, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(numkit, name, wrapper)
+    return calls, original
+
+
+def test_schur_solve_skips_the_estimate_on_kerr_cat(monkeypatch):
+    # at DEFAULT_TOL the comparison bound alone passes every shift
+    factor = prepare(kerr_cat_model(KerrCatParams(n_cut=12))).steady.factor
+    calls, _ = _counting(monkeypatch, "_tri_rcond")
+    rhs = np.ones((len(factor.eigenvalues), 2), dtype=complex)
+    for omega in _KERR_CAT_OMEGAS:
+        factor.solve_triangular(-1j * omega, rhs)
+    assert calls == []
+
+
+def test_schur_gate_falls_back_to_the_estimate(monkeypatch):
+    # with cond_max = 1e6 the shifts closest to 1j reach the bound; the
+    # estimate then decides, and a raise carries the message the estimate's
+    # gate alone gives at that shift
+    rng = np.random.default_rng(11)
+    a = _near_singular_at_1j(rng)
+    b = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    tol = DEFAULT_TOL.replacing(cond_max=1e6)
+    factor = numkit.SchurFactor(a, tol)
+    calls, tri_rcond = _counting(monkeypatch, "_tri_rcond")
+    offsets = np.logspace(-9.0, 0.0, 10)
+    outcomes = set()
+    for shift in 1j * (1.0 + np.concatenate([-offsets, offsets])):
+        shifted, _, anorm = factor._shifted(shift)
+        fallback = not anorm * numkit._tri_inverse_bound(shifted) < tol.cond_max
+        try:
+            numkit._check_rcond(tri_rcond(shifted, anorm), tol)
+            want = None
+        except SingularMatrix as err:
+            want = str(err)
+        before = len(calls)
+        if want is None:
+            np.testing.assert_allclose(factor.solve(shift, b),
+                                       np.linalg.solve(shift * np.eye(8) - a, b),
+                                       rtol=1e-6)
+        else:
+            with pytest.raises(SingularMatrix) as raised:
+                factor.solve(shift, b)
+            assert str(raised.value) == want
+        assert len(calls) - before == int(fallback)
+        outcomes.add((fallback, want is None))
+    assert outcomes == {(False, True), (True, True), (True, False)}
+
+
+def _with_comparison_half(upper):
+    # the layout SchurFactor stores: an upper triangle, and below its
+    # diagonal the negated moduli of the entries above, transposed
+    upper = np.triu(upper)
+    return np.asfortranarray(upper - np.abs(np.triu(upper, 1)).T)
+
+
+def test_tri_inverse_bound_is_above_the_norm():
+    rng, kahan_rng = np.random.default_rng(9), np.random.default_rng(1)
+    for n in range(1, 41):
+        uppers = []
+        for spread in (0.0, 3.0):
+            upper = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            upper[np.diag_indices(n)] *= 10.0 ** rng.uniform(-spread, 0.0, n)
+            uppers.append(upper)
+        kahan = _kahan(kahan_rng, n)
+        # Kahan's comparison matrix itself: |U^-1| = M(U)^-1, so the bound
+        # is the norm up to rounding
+        comparison = -np.abs(kahan)
+        comparison[np.diag_indices(n)] *= -1.0
+        for upper in uppers + [kahan, comparison]:
+            tri = _with_comparison_half(upper)
+            stored = tri.copy()
+            anorm = np.linalg.norm(np.triu(tri), 1)
+            bound = numkit._tri_inverse_bound(tri)
+            np.testing.assert_array_equal(tri, stored)
+            assert bound >= 1.0 / (anorm * numkit._tri_rcond(tri, anorm))
+            assert bound >= np.linalg.norm(np.linalg.inv(np.triu(tri)), 1)
+
+
+def test_tri_inverse_bound_edge_cases():
+    # empty, singular and overflowing triangles give no finite bound, so
+    # the gate falls back to the estimate
+    assert numkit._tri_inverse_bound(np.zeros((0, 0), dtype=complex, order="F")) == np.inf
+    singular = _with_comparison_half(np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex))
+    assert numkit._tri_inverse_bound(singular) == np.inf
+    huge = _with_comparison_half(np.array([[1e-200, 1e200], [0.0, 1e-200]], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not numkit._tri_inverse_bound(huge) < np.inf
 
 
 def _kahan(rng, n):
