@@ -139,13 +139,25 @@ class SchurFactor:
 
     Every shifted solve is one triangular solve, gated on its 1-norm
     condition number against ``tol.cond_max`` and residual-checked like
-    :class:`LUFactor`. The gate first takes the upper bound of
-    :func:`_tri_inverse_bound`: one lower-triangular solve on the stored
-    array with |shift - T_kk| on its diagonal, the transposed comparison
-    matrix of shift - T (every other LAPACK call here reads only the upper
-    half). Only a shift whose bound reaches ``cond_max`` runs the estimate
-    LAPACK ztrcon gives (:func:`_tri_rcond`, a lower bound on the same
-    number), so every verdict is that estimate's.
+    :class:`LUFactor`. The gate has three tiers, each run only where the
+    one before it does not pass the shift:
+
+    1. The set-up bound B0 = :func:`_tri_inverse_bound` with |Re T_kk| on
+       the diagonal: one lower-triangular solve on the stored array, whose
+       lower half is then the transposed comparison matrix M0 (every other
+       LAPACK call here reads only the upper half). A shift with
+       |shift - T_kk| >= |Re T_kk| for every k, which every shift on the
+       imaginary axis meets, has a comparison matrix that differs from M0
+       only by a larger diagonal, so ||(shift - T)^-1||_1 <= B0. The
+       premise is checked on the moduli that ||shift - T||_1 needs anyway:
+       O(order) per shift, no solve.
+    2. The same bound with |shift - T_kk| on the diagonal, one lower solve
+       per shift.
+    3. The estimate LAPACK ztrcon gives (:func:`_tri_rcond`), a lower
+       bound on the same norm, where the bound of tier 2 reaches
+       ``cond_max``. A shift the bounds pass, the estimate passes too, so
+       every verdict is the estimate's.
+
     ||shift - T||_1 comes from the strict-upper column sums of |T|, kept
     from the set-up. A solve writes into the stored diagonal, so it holds
     the factor's lock until its last LAPACK call: solves on one factor run
@@ -188,8 +200,12 @@ class SchurFactor:
             self._strict_colsum[j:j + 128] = block.sum(axis=0)
             np.copyto(triangle[j:j + 128, :j + 128], -block.T,
                       where=np.tri(*block.T.shape, j - 1, dtype=bool))
+        # B0 of the gate's first tier: ||(s - T)^-1||_1 <= B0 at every shift
+        # s with |s - T_kk| >= |Re T_kk| for all k
+        self._moduli_floor = np.abs(self.eigenvalues.real)
+        self._floor_bound = _tri_inverse_bound(triangle, self._moduli_floor)
         self._lock = threading.Lock()
-        for array in (self.eigenvalues, self._strict_colsum, self._z):
+        for array in (self.eigenvalues, self._strict_colsum, self._moduli_floor, self._z):
             array.setflags(write=False)
 
     def to_schur(self, b: np.ndarray) -> np.ndarray:
@@ -200,23 +216,28 @@ class SchurFactor:
         """Z w for an (order, k) block."""
         return self._z @ w
 
-    def _shifted(self, shift: complex) -> tuple[np.ndarray, np.ndarray, float]:
+    def _shifted(self, shift: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """shift - T: the stored array with shift - T_kk written into its
-        diagonal, that diagonal and the 1-norm of the upper triangle, the
-        largest column sum of |shift - T|. The array holds this shift until
-        the next call, so a solve calls it under the factor's lock."""
+        diagonal, that diagonal, its moduli and the 1-norm of the upper
+        triangle, the largest column sum of |shift - T|. The array holds
+        this shift until the next call, so a solve calls it under the
+        factor's lock."""
         diagonal = shift - self.eigenvalues
         np.fill_diagonal(self._triangle, diagonal)
-        anorm = float(np.max(self._strict_colsum + np.abs(diagonal), initial=0.0))
-        return self._triangle, diagonal, anorm
+        moduli = np.abs(diagonal)
+        anorm = float(np.max(self._strict_colsum + moduli, initial=0.0))
+        return self._triangle, diagonal, moduli, anorm
 
     def solve_triangular(self, shift: complex, rhs: np.ndarray) -> np.ndarray:
         """(shift - T)^(-1) rhs for an (order, k) block in Schur coordinates."""
         rhs = np.asarray(rhs, dtype=complex)
+        cond_max = self._tol.cond_max
         with self._lock:
-            shifted, diagonal, anorm = self._shifted(shift)
-            if not anorm * _tri_inverse_bound(shifted) < self._tol.cond_max:
-                _check_rcond(_tri_rcond(shifted, anorm), self._tol)
+            shifted, diagonal, moduli, anorm = self._shifted(shift)
+            if not (anorm * self._floor_bound < cond_max
+                    and np.all(moduli >= self._moduli_floor)):
+                if not anorm * _tri_inverse_bound(shifted, moduli) < cond_max:
+                    _check_rcond(_tri_rcond(shifted, anorm), self._tol)
             x, info = lapack.ztrtrs(shifted, rhs)
             if info != 0:
                 raise SingularMatrix(f"triangular solve failed (info={info})")
@@ -235,32 +256,36 @@ _SAFMIN = np.finfo(float).tiny   # LAPACK dlamch("S")
 _HAGER_ITMAX = 5                 # zlacn2 ITMAX
 
 
-def _tri_inverse_bound(tri: np.ndarray) -> float:
-    """Upper bound on ||U^-1||_1 for the upper triangle U of ``tri``, whose
-    strict lower half holds -|U|^T.
+def _tri_inverse_bound(tri: np.ndarray, moduli: np.ndarray) -> float:
+    """Upper bound on ||U^-1||_1 for every upper triangle U with the strict
+    upper half of ``tri`` and |u_kk| >= moduli_k, where the strict lower
+    half of ``tri`` holds -|U|^T.
 
-    With the diagonal set to |u_kk|, the lower half of ``tri`` is M(U)^T,
-    the transposed comparison matrix of U. |U^-1| <= M(U)^-1 entrywise, so
-    ||U^-1||_1 <= ||M(U)^-T e||_inf: one ztrtrs solve, after which the
-    diagonal is written back. The solve adds only nonnegative terms, so its
-    componentwise relative error is of order n^2 u (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., 2002, sections 8.2-8.3);
-    the result is inflated by 4 (n + 1)^2 eps, several times that, to
-    stay an upper bound after rounding. An empty or singular triangle gives
-    inf, and a solve that overflows inf or nan, so that no finite limit
-    compares above either.
+    With ``moduli`` written into the diagonal, the lower half of ``tri`` is
+    M^T, M the comparison matrix with that diagonal. M(U) differs from M
+    only by a diagonal at least as large, so, both being triangular
+    M-matrices, |U^-1| <= M(U)^-1 <= M^-1 entrywise and ||U^-1||_1 <=
+    ||M^-T e||_inf: one ztrtrs solve, after which the diagonal is written
+    back. The solve adds only nonnegative terms, so its componentwise
+    relative error is of order n^2 u (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 2002, sections 8.2-8.3); the result is
+    inflated by 4 (n + 1)^2 eps, several times that, to stay an upper bound
+    after rounding. It also covers a computed |u_kk| that reaches moduli_k
+    while the exact one lies up to one unit in the last place below it,
+    which moves M^-1 by a relative n eps at most. An empty or singular triangle gives inf, and a solve
+    that overflows inf or nan, so that no finite limit compares above
+    either.
     """
     n = len(tri)
     if n == 0:
         return math.inf
     diagonal = np.diagonal(tri).copy()
-    np.fill_diagonal(tri, np.abs(diagonal))
+    np.fill_diagonal(tri, moduli)
     y, info = lapack.ztrtrs(tri, np.ones(n, dtype=complex), lower=1)
     np.fill_diagonal(tri, diagonal)
     if info != 0:
         return math.inf
     return float(y.real.max()) * (1.0 + 4.0 * (n + 1) ** 2 * _EPS)
-
 
 
 def _tri_rcond(tri: np.ndarray, anorm: float) -> float:

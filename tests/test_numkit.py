@@ -269,7 +269,7 @@ def test_tri_rcond_is_ztrcon_on_kerr_cat():
     for omega in _KERR_CAT_OMEGAS:
         # the stored array holds -|T|^T below the diagonal; the triangle is
         # its upper half
-        shifted, _, anorm = factor._shifted(-1j * omega)
+        shifted, _, _, anorm = factor._shifted(-1j * omega)
         triangle = np.asfortranarray(np.triu(shifted))
         assert abs(anorm - np.linalg.norm(triangle, 1)) <= 1e-14 * anorm
         _assert_is_ztrcon_estimate(triangle, anorm)
@@ -288,36 +288,48 @@ def _counting(monkeypatch, name):
 
 
 def test_schur_solve_skips_the_estimate_on_kerr_cat(monkeypatch):
-    # at DEFAULT_TOL the comparison bound alone passes every shift
+    # at DEFAULT_TOL the set-up bound alone passes every shift on the
+    # imaginary axis: neither the per-shift bound nor the estimate runs
     factor = prepare(kerr_cat_model(KerrCatParams(n_cut=12))).steady.factor
-    calls, _ = _counting(monkeypatch, "_tri_rcond")
+    bounds, _ = _counting(monkeypatch, "_tri_inverse_bound")
+    estimates, _ = _counting(monkeypatch, "_tri_rcond")
     rhs = np.ones((len(factor.eigenvalues), 2), dtype=complex)
     for omega in _KERR_CAT_OMEGAS:
         factor.solve_triangular(-1j * omega, rhs)
-    assert calls == []
+    assert bounds == [] and estimates == []
+    # a shift off the axis at half the real part of the most damped
+    # eigenvalue breaks the premise |shift - T_kk| >= |Re T_kk|, so the
+    # per-shift bound decides it
+    k = np.argmax(np.abs(factor.eigenvalues.real))
+    shift = factor.eigenvalues[k] - 0.5 * factor.eigenvalues[k].real
+    factor.solve_triangular(shift, rhs)
+    assert len(bounds) == 1 and estimates == []
 
 
 def test_schur_gate_falls_back_to_the_estimate(monkeypatch):
     # with cond_max = 1e6 the shifts closest to 1j reach the bound; the
     # estimate then decides, and a raise carries the message the estimate's
-    # gate alone gives at that shift
+    # gate alone gives at that shift. Re T_kk = -1e-9 puts the set-up bound
+    # above cond_max, so the per-shift bound runs at every shift
     rng = np.random.default_rng(11)
     a = _near_singular_at_1j(rng)
     b = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     tol = DEFAULT_TOL.replacing(cond_max=1e6)
     factor = numkit.SchurFactor(a, tol)
+    assert not factor._floor_bound < tol.cond_max
+    bounds, tri_inverse_bound = _counting(monkeypatch, "_tri_inverse_bound")
     calls, tri_rcond = _counting(monkeypatch, "_tri_rcond")
     offsets = np.logspace(-9.0, 0.0, 10)
     outcomes = set()
     for shift in 1j * (1.0 + np.concatenate([-offsets, offsets])):
-        shifted, _, anorm = factor._shifted(shift)
-        fallback = not anorm * numkit._tri_inverse_bound(shifted) < tol.cond_max
+        shifted, _, moduli, anorm = factor._shifted(shift)
+        fallback = not anorm * tri_inverse_bound(shifted, moduli) < tol.cond_max
         try:
             numkit._check_rcond(tri_rcond(shifted, anorm), tol)
             want = None
         except SingularMatrix as err:
             want = str(err)
-        before = len(calls)
+        before, bounds_before = len(calls), len(bounds)
         if want is None:
             np.testing.assert_allclose(factor.solve(shift, b),
                                        np.linalg.solve(shift * np.eye(8) - a, b),
@@ -327,6 +339,7 @@ def test_schur_gate_falls_back_to_the_estimate(monkeypatch):
                 factor.solve(shift, b)
             assert str(raised.value) == want
         assert len(calls) - before == int(fallback)
+        assert len(bounds) - bounds_before == 1
         outcomes.add((fallback, want is None))
     assert outcomes == {(False, True), (True, True), (True, False)}
 
@@ -338,8 +351,17 @@ def _with_comparison_half(upper):
     return np.asfortranarray(upper - np.abs(np.triu(upper, 1)).T)
 
 
+def _inverse_norm_bounds(tri):
+    # the exact ||U^-1||_1 and Hager's lower estimate of it, for the upper
+    # triangle U of tri
+    anorm = np.linalg.norm(np.triu(tri), 1)
+    return (np.linalg.norm(np.linalg.inv(np.triu(tri)), 1),
+            1.0 / (anorm * numkit._tri_rcond(tri, anorm)))
+
+
 def test_tri_inverse_bound_is_above_the_norm():
     rng, kahan_rng = np.random.default_rng(9), np.random.default_rng(1)
+    shift_rng = np.random.default_rng(2)
     for n in range(1, 41):
         uppers = []
         for spread in (0.0, 3.0):
@@ -351,26 +373,45 @@ def test_tri_inverse_bound_is_above_the_norm():
         # is the norm up to rounding
         comparison = -np.abs(kahan)
         comparison[np.diag_indices(n)] *= -1.0
+        rounding = 8.0 * (n + 1) ** 2 * np.finfo(float).eps
         for upper in uppers + [kahan, comparison]:
             tri = _with_comparison_half(upper)
             stored = tri.copy()
-            anorm = np.linalg.norm(np.triu(tri), 1)
-            bound = numkit._tri_inverse_bound(tri)
+            bound = numkit._tri_inverse_bound(tri, np.abs(np.diagonal(tri)))
             np.testing.assert_array_equal(tri, stored)
-            assert bound >= 1.0 / (anorm * numkit._tri_rcond(tri, anorm))
-            assert bound >= np.linalg.norm(np.linalg.inv(np.triu(tri)), 1)
+            assert bound >= max(_inverse_norm_bounds(tri))
+            # the set-up bound of SchurFactor, with T = -upper: |Re T_kk| on
+            # the diagonal bounds every shift with |s - T_kk| >= |Re T_kk|,
+            # on the imaginary axis (through an eigenvalue's imaginary part)
+            # and off it, where the real part outweighs every |Re T_kk|
+            t_kk = -np.diagonal(upper)
+            floor = np.abs(t_kk.real)
+            floor_bound = numkit._tri_inverse_bound(tri, floor)
+            np.testing.assert_array_equal(tri, stored)
+            shifts = 1j * np.array([0.0, t_kk[0].imag, shift_rng.standard_normal()])
+            shifts = np.concatenate([shifts, 2.0 * floor.max() * (1.0 + shift_rng.random(2))
+                                     + 1j * shift_rng.standard_normal(2)])
+            for shift in shifts:
+                assert np.all(np.abs(shift - t_kk) >= floor)
+                shifted = _with_comparison_half(upper + shift * np.eye(n))
+                assert floor_bound >= max(_inverse_norm_bounds(shifted))
+                per_shift = numkit._tri_inverse_bound(shifted, np.abs(np.diagonal(shifted)))
+                assert floor_bound >= per_shift * (1.0 - rounding)
 
 
 def test_tri_inverse_bound_edge_cases():
     # empty, singular and overflowing triangles give no finite bound, so
     # the gate falls back to the estimate
-    assert numkit._tri_inverse_bound(np.zeros((0, 0), dtype=complex, order="F")) == np.inf
+    def bound(tri):
+        return numkit._tri_inverse_bound(tri, np.abs(np.diagonal(tri)))
+
+    assert bound(np.zeros((0, 0), dtype=complex, order="F")) == np.inf
     singular = _with_comparison_half(np.array([[1.0, 2.0], [0.0, 0.0]], dtype=complex))
-    assert numkit._tri_inverse_bound(singular) == np.inf
+    assert bound(singular) == np.inf
     huge = _with_comparison_half(np.array([[1e-200, 1e200], [0.0, 1e-200]], dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not numkit._tri_inverse_bound(huge) < np.inf
+        assert not bound(huge) < np.inf
 
 
 def _kahan(rng, n):
