@@ -110,7 +110,8 @@ class PureDissipativeCheck:
 def pure_dissipative_residuals(model: LindbladModel,
                                tol: ToleranceSet = DEFAULT_TOL) -> PureDissipativeCheck:
     tangents = model.tangents
-    channels = np.array(model.channels)
+    channels = np.array(model.channels, dtype=complex).reshape(
+        model.n_channels, model.dim, model.dim)
     k = np.einsum("mba,mqbc->qac", channels.conj(), tangents)
     residuals = np.linalg.norm(k - k.conj().transpose(0, 2, 1), axis=(1, 2))
     thresholds = 2.0 * tol.herm * (np.linalg.norm(channels, axis=(1, 2))

@@ -153,10 +153,10 @@ class SchurFactor:
        O(order) per shift, no solve.
     2. The same bound with |shift - T_kk| on the diagonal, one lower solve
        per shift.
-    3. The estimate LAPACK ztrcon gives (:func:`_tri_rcond`), a lower
-       bound on the same norm, where the bound of tier 2 reaches
-       ``cond_max``. A shift the bounds pass, the estimate passes too, so
-       every verdict is the estimate's.
+    3. The estimate LAPACK ztrcon returns, a lower bound on the same
+       norm, where the bound of tier 2 reaches ``cond_max``. A shift the
+       bounds pass, the estimate passes too, so every verdict is the
+       estimate's.
 
     ||shift - T||_1 comes from the strict-upper column sums of |T|, kept
     from the set-up. A solve writes into the stored diagonal, so it holds
@@ -237,7 +237,10 @@ class SchurFactor:
             if not (anorm * self._floor_bound < cond_max
                     and np.all(moduli >= self._moduli_floor)):
                 if not anorm * _tri_inverse_bound(shifted, moduli) < cond_max:
-                    _check_rcond(_tri_rcond(shifted, anorm), self._tol)
+                    rcond, info = lapack.ztrcon(shifted, norm="1")
+                    if info != 0:
+                        raise SingularMatrix(f"condition estimate failed (info={info})")
+                    _check_rcond(rcond, self._tol)
             x, info = lapack.ztrtrs(shifted, rhs)
             if info != 0:
                 raise SingularMatrix(f"triangular solve failed (info={info})")
@@ -252,8 +255,6 @@ class SchurFactor:
 
 
 _EPS = np.finfo(float).eps
-_SAFMIN = np.finfo(float).tiny   # LAPACK dlamch("S")
-_HAGER_ITMAX = 5                 # zlacn2 ITMAX
 
 
 def _tri_inverse_bound(tri: np.ndarray, moduli: np.ndarray) -> float:
@@ -286,57 +287,6 @@ def _tri_inverse_bound(tri: np.ndarray, moduli: np.ndarray) -> float:
     if info != 0:
         return math.inf
     return float(y.real.max()) * (1.0 + 4.0 * (n + 1) ** 2 * _EPS)
-
-
-def _tri_rcond(tri: np.ndarray, anorm: float) -> float:
-    """Reciprocal 1-norm condition estimate 1 / (anorm * est) of an upper
-    triangle whose 1-norm is ``anorm``: the number LAPACK ztrcon returns.
-
-    est is Hager's lower estimate of ||tri^-1||_1 in Higham's form (ACM TOMS
-    14, 381, 1988), step for step as LAPACK zlacn2 takes it, but each solve
-    is a ztrtrs, which calls the BLAS trsm, rather than ztrcon's unblocked,
-    overflow-scaled zlatrs. An exact zero on the diagonal gives 0, as in
-    ztrcon; a solve that overflows raises :class:`SingularMatrix`. The
-    triangle is only read.
-    """
-    n = len(tri)
-    if anorm == 0.0 or not np.diagonal(tri).all():
-        return 0.0
-
-    def solve(v: np.ndarray, trans: int) -> tuple[np.ndarray, np.ndarray, float]:
-        x, info = lapack.ztrtrs(tri, v, trans=trans, overwrite_b=1)
-        if info != 0:
-            raise SingularMatrix(f"triangular solve failed (info={info})")
-        absx = np.abs(x)
-        total = absx.sum()
-        if not math.isfinite(total):
-            raise SingularMatrix("condition estimate overflowed")
-        return x, absx, total
-
-    def unit_phases(x: np.ndarray, absx: np.ndarray) -> np.ndarray:
-        return np.where(absx > _SAFMIN, x / absx, 1.0)
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, absx, est = solve(np.full(n, 1.0 / n, dtype=complex), 0)
-        if n > 1:
-            x, absx, _ = solve(unit_phases(x, absx), 2)
-            j = absx.argmax()
-            for _ in range(2, _HAGER_ITMAX + 1):
-                e_j = np.zeros(n, dtype=complex)
-                e_j[j] = 1.0
-                x, absx, total = solve(e_j, 0)
-                est_old, est = est, total
-                if est <= est_old:
-                    break
-                x, absx, _ = solve(unit_phases(x, absx), 2)
-                j_last, j = j, absx.argmax()
-                if absx[j_last] == absx[j]:
-                    break
-            alternating = 1.0 + np.arange(n, dtype=complex) / (n - 1)
-            alternating[1::2] *= -1.0
-            _, _, total = solve(alternating, 0)
-            est = max(est, 2.0 * total / (3 * n))
-    return float((1.0 / anorm) / est) if est > 0.0 else 0.0
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,16 @@ def test_pure_dissipative_residual_hamiltonian_tangent(rf_unit):
         certify_bound(prepare(twisted), [0.0])
 
 
+def test_pure_dissipative_residuals_without_channels():
+    # no channel, no tangent term: every K_q is zero
+    model = LindbladModel(hamiltonian=np.diag([0.0, 1.0]), channels=(),
+                          signal=kinetic_signal(np.zeros((0, 1))))
+    check = pure_dissipative_residuals(model)
+    np.testing.assert_array_equal(check.residuals, [0.0])
+    np.testing.assert_array_equal(check.thresholds, [0.0])
+    assert check.ok
+
+
 def _random_dynamics(rng, d, n_ch):
     """Random Hermitian H and n_ch dense jump operators, generically mixing."""
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -343,8 +353,8 @@ def test_classical_reduction_ring():
 
 
 def test_certify_bound_does_not_call_ztrcon(monkeypatch):
-    # the per-frequency condition gate takes zlacn2's steps on ztrtrs solves;
-    # LAPACK ztrcon runs them on zlatrs, about five times slower at d^2 = 900
+    # ztrcon is the condition gate's fallback, and a kerr_cat certificate
+    # never reaches it: the set-up bound passes every frequency on the axis
     model = kerr_cat_model(KerrCatParams(n_cut=8))
     omegas = [0.0, 0.83, -3.1]
     want = certify_bound(prepare(model), omegas).lambda_max

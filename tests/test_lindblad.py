@@ -85,6 +85,32 @@ def test_undriven_steady_state():
     assert not system.rho.flags.writeable
 
 
+def test_steady_state_rejects_disagreeing_solves(rf_unit, monkeypatch):
+    generator = liouvillian(rf_unit.model)
+    solve = numkit.LUFactor.solve
+    monkeypatch.setattr(numkit.LUFactor, "solve",
+                        lambda self, b: (1.0 + 1e-6) * solve(self, b))
+    with pytest.raises(NumericalError,
+                       match=r"Schur and LU stationary solves disagree by 5\.270e-07"):
+        steady_state(generator)
+
+
+def test_steady_state_rejects_a_stationary_residual(rf_unit, monkeypatch):
+    generator = liouvillian(rf_unit.model)
+    hermitize = numkit.hermitize
+
+    def perturbed(a):
+        rho = hermitize(a)
+        rho[0, 1] += 1e-6
+        rho[1, 0] += 1e-6
+        return rho
+
+    monkeypatch.setattr(numkit, "hermitize", perturbed)
+    with pytest.raises(NumericalError,
+                       match=r"stationary residual 7\.071e-07 exceeds 2\.121e-10"):
+        steady_state(generator)
+
+
 def test_not_mixing_zero_generator():
     with pytest.raises(NotMixing):
         steady_state(np.zeros((4, 4), dtype=complex))
