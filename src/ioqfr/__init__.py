@@ -48,7 +48,6 @@ from .bounds import (
     applicable_activity,
     certify_bound,
     classical_reduction_check,
-    coherent_ceiling_check,
     pure_dissipative_residuals,
     rayleigh_identity,
     response_to_noise,
@@ -88,7 +87,7 @@ from .models import (
     KerrCatParams,
     REGISTRY,
     RfParams,
-    cavity_scalar_ratio,
+    cavity_model,
     cavity_scattering,
     classical_jump_model,
     classical_stationary,
@@ -132,14 +131,13 @@ __all__ = [
     "BoundReport",
     "rayleigh_identity",
     "rf_positivity_residual",
-    "coherent_ceiling_check",
     "classical_reduction_check",
     "REGISTRY",
     "CavityParams",
     "RfParams",
     "KerrCatParams",
     "cavity_scattering",
-    "cavity_scalar_ratio",
+    "cavity_model",
     "rf_closed_forms",
     "rf_model",
     "kerr_cat_model",

@@ -39,11 +39,7 @@ from .errors import (
 )
 from .lindblad import LindbladModel, System, model_fingerprint, prepare
 from .models import (
-    CavityParams,
     RfParams,
-    cavity_optimal_phase,
-    cavity_scalar_ratio,
-    cavity_scattering,
     classical_jump_model,
     classical_stationary,
     rf_closed_forms,
@@ -65,8 +61,6 @@ __all__ = [
     "rf_positivity_residual",
     "RayleighResult",
     "rayleigh_identity",
-    "CavityCeilingReport",
-    "coherent_ceiling_check",
     "ClassicalReductionReport",
     "classical_reduction_check",
 ]
@@ -356,37 +350,6 @@ def rayleigh_identity(response_real: np.ndarray, noise_real: np.ndarray,
     return RayleighResult(
         quadratic_form=quad, exact_max=exact, random_max=random_max,
         optimal_ratio=optimal, trials=trials,
-    )
-
-
-# ---------------------------------------------------------------------------
-# coherent ceiling (driven cavity)
-
-@dataclass(frozen=True)
-class CavityCeilingReport:
-    omegas: np.ndarray
-    ratios: np.ndarray
-    scattering: np.ndarray
-    optimal_phases: np.ndarray
-    max_error: float
-    passed: bool
-
-
-def coherent_ceiling_check(params: CavityParams,
-                           omegas: Sequence[float]) -> CavityCeilingReport:
-    """Verify the coherent-drive ceiling |R|^2 / S = 4 and |s(omega)| = 1
-    across a grid; passed when both hold to 1e-12."""
-    omegas = np.asarray(list(omegas), dtype=float)
-    ratios = np.array([cavity_scalar_ratio(params, w) for w in omegas])
-    scattering = np.array([cavity_scattering(params, w) for w in omegas])
-    phases = np.array([cavity_optimal_phase(params, w) for w in omegas])
-    err_ratio = float(np.max(np.abs(ratios - 4.0))) if omegas.size else 0.0
-    err_mod = float(np.max(np.abs(np.abs(scattering) - 1.0))) if omegas.size else 0.0
-    max_error = max(err_ratio, err_mod)
-    return CavityCeilingReport(
-        omegas=omegas, ratios=ratios, scattering=scattering,
-        optimal_phases=phases, max_error=max_error,
-        passed=bool(max_error <= 1e-12),
     )
 
 

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .bounds import certify_bound, coherent_ceiling_check
+from .bounds import certify_bound
 from .errors import ConfigError, IoqfrError
 from .lindblad import (
     LindbladModel,
@@ -235,16 +235,13 @@ class ModelSpec:
                               f"{len(self.thetas)}; only sweep repeats --theta")
         if self.fixed is not None:
             return self.fixed
-        build = REGISTRY[self.name].build
-        if build is None:
-            raise ConfigError(f"the {self.name} model is analytic-only; {command} "
-                              "applies to Lindblad models (try bound-report)")
-        return build(self.params, *self.thetas[:1])
+        return REGISTRY[self.name].build(self.params, *self.thetas[:1])
 
 
 def _phased() -> str:
     """The registry models whose monitored phase --theta sets."""
-    return " and ".join(n for n, e in REGISTRY.items() if e.build is not None)
+    names = [n for n, e in REGISTRY.items() if e.build is not None]
+    return ", ".join(names[:-1]) + " and " + names[-1]
 
 
 def _resolve_model(args: argparse.Namespace) -> ModelSpec:
@@ -274,8 +271,6 @@ def _resolve_model(args: argparse.Namespace) -> ModelSpec:
 
     entry = REGISTRY[name]
     if entry.params is not None:
-        if thetas and entry.build is None:
-            raise ConfigError(f"the {name} model has no monitored phase to set")
         return ModelSpec(name=name, thetas=thetas,
                          params=_parse_params(name, params, config.get("params")))
     if params:
@@ -432,19 +427,6 @@ def _cmd_bound_report(args: argparse.Namespace) -> int:
     tol = _parse_tol(args.tol or [])
     spec = _resolve_model(args)
     omegas = _sweep_grid(args)
-    if spec.name == "cavity":
-        report = coherent_ceiling_check(spec.params, omegas)
-        _emit_json({
-            "model": "cavity",
-            "kind": "coherent_ceiling",
-            "omegas": report.omegas.tolist(),
-            "ratios": report.ratios.tolist(),
-            "scattering_modulus": np.abs(report.scattering).tolist(),
-            "optimal_phases": report.optimal_phases.tolist(),
-            "max_error": report.max_error,
-            "passed": report.passed,
-        }, args.out)
-        return 0 if report.passed else 2
     system = prepare(_bound_model(spec, "bound-report"), tol)
     report = certify_bound(system, omegas)
     payload: dict[str, Any] = {

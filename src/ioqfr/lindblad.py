@@ -493,18 +493,20 @@ def perturbation_state(model: LindbladModel, q: int, rho: np.ndarray) -> np.ndar
 
 def _traceless_coordinates(sources: np.ndarray, tol: ToleranceSet) -> np.ndarray:
     """Gell-Mann coordinates 1..n-1 of an (n, k) block of vectorized
-    sources; a source whose trace exceeds ``tol.trace`` times its norm raises
-    :class:`SourceNotTraceless`."""
+    sources; a source whose trace exceeds ``tol.trace`` times the largest
+    source norm of the block raises :class:`SourceNotTraceless`. A source's
+    own norm is no scale: on a coherent state the insertion source vanishes
+    in exact arithmetic, and its rounding-level trace would fail against it."""
     coords = _to_coherence(sources)
     d = math.isqrt(sources.shape[0])
-    norms = np.linalg.norm(sources, axis=0)
+    scale = float(np.linalg.norm(sources, axis=0).max(initial=0.0))
     traces = math.sqrt(d) * np.abs(coords[0])
-    leaks = np.flatnonzero(traces > tol.trace * norms)
+    leaks = np.flatnonzero(traces > tol.trace * scale)
     if leaks.size:
         k = leaks[0]
         raise SourceNotTraceless(
             f"source {k} trace {traces[k]:.3e} exceeds "
-            f"{tol.trace:.1e} * norm {norms[k]:.3e}")
+            f"{tol.trace:.1e} * largest source norm {scale:.3e}")
     return coords[1:]
 
 

@@ -1,11 +1,11 @@
-"""Built-in models: analytic closed forms and Lindblad builders.
+"""Built-in models: Lindblad builders and their closed forms.
 
 Four physical settings, in increasing dimension:
 
-* ``cavity``: coherently driven empty cavity, analytic only. The response
-  to drive modulation saturates the coherent ceiling |R|^2 / S = 4 at every
-  frequency and detuning; no finite-dimensional builder exists (or is
-  needed) for it.
+* ``cavity``: coherently driven single-sided cavity with a modulated decay
+  rate, Fock-truncated. Its stationary state is coherent, and at the
+  optimal homodyne phase ``cavity_optimal_phase`` the bound is attained,
+  J = A, at every frequency.
 * ``rf``: resonantly driven two-level emitter (resonance fluorescence) with
   closed forms for the activity, the out-of-phase quadrature response, and
   both quadrature spectra, plus the matching Lindblad builder.
@@ -39,7 +39,7 @@ __all__ = [
     "CavityParams",
     "cavity_scattering",
     "cavity_optimal_phase",
-    "cavity_scalar_ratio",
+    "cavity_model",
     "RfParams",
     "RfClosedForms",
     "rf_closed_forms",
@@ -51,7 +51,16 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# driven cavity (analytic only)
+# driven cavity
+
+# For a coherent state lambda_max(theta, omega) = cos^2(theta -
+# theta*(omega)) does not depend on the drive amplitude F, which only scales
+# the activity A = kappa |alpha|^2. So F is no parameter: it is set by a
+# fixed stationary photon number |alpha|^2, whose Poisson tail past
+# CAVITY_N_CUT levels is below 1e-18.
+CAVITY_PHOTONS = 0.3
+CAVITY_N_CUT = 14
+
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -63,6 +72,14 @@ class CavityParams:
             raise ValueError("cavity linewidth kappa must be positive")
 
 
+def _cavity_drive(params: CavityParams) -> tuple[float, complex]:
+    """Drive F > 0 and stationary amplitude alpha = -i F / (kappa/2 + i delta),
+    with |alpha|^2 = CAVITY_PHOTONS."""
+    z = complex(0.5 * params.kappa, params.delta)
+    drive = float(np.sqrt(CAVITY_PHOTONS) * abs(z))
+    return drive, -1j * drive / z
+
+
 def cavity_scattering(params: CavityParams, omega: float) -> complex:
     """Reflection amplitude s(omega); unit modulus at every frequency."""
     z = 0.5 * params.kappa + 1j * (params.delta - omega)
@@ -70,14 +87,28 @@ def cavity_scattering(params: CavityParams, omega: float) -> complex:
 
 
 def cavity_optimal_phase(params: CavityParams, omega: float) -> float:
-    """Homodyne phase that captures the full drive response: arg s(omega)."""
-    return float(np.angle(cavity_scattering(params, omega)))
+    """Homodyne phase theta*(omega) in [0, pi) at which the decay-rate
+    response saturates the bound: arg alpha + (arg s(omega) + arg s(-omega))
+    / 2 mod pi. At any phase theta, lambda_max = cos^2(theta - theta*)."""
+    _, alpha = _cavity_drive(params)
+    phase = np.angle(alpha) + 0.5 * (np.angle(cavity_scattering(params, omega))
+                                     + np.angle(cavity_scattering(params, -omega)))
+    return float(np.mod(phase, np.pi))
 
 
-def cavity_scalar_ratio(params: CavityParams, omega: float) -> float:
-    """|R|^2 / S at the optimal phase: 4 |s|^2, identically 4."""
-    s = cavity_scattering(params, omega)
-    return 4.0 * abs(s) ** 2
+def cavity_model(params: CavityParams, theta: float = 0.0) -> LindbladModel:
+    """H = delta a^dag a + F (a + a^dag) on CAVITY_N_CUT Fock levels, one
+    channel sqrt(kappa) a monitored at phase theta, kinetic modulation of
+    kappa."""
+    drive, _ = _cavity_drive(params)
+    a = annihilation(CAVITY_N_CUT)
+    ad = dagger(a)
+    return LindbladModel(
+        hamiltonian=params.delta * (ad @ a) + drive * (a + ad),
+        channels=(np.sqrt(params.kappa) * a,),
+        monitored=((0, theta),),
+        signal=kinetic_signal(np.array([[1.0]])),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +301,11 @@ def classical_jump_model(rates: np.ndarray, weights: np.ndarray) -> LindbladMode
 
 @dataclass(frozen=True)
 class ModelEntry:
-    """One model family: its parameter dataclass and the short parameter
-    aliases the CLI accepts, and, for families with a Lindblad builder, the
-    builder (its optional second argument is the monitored phase) and the
-    extra entries ``ioqfr steady`` reports for a stationary state. Families
-    defined by a JSON config alone leave every field empty."""
+    """One model family: its parameter dataclass, the short parameter
+    aliases the CLI accepts, its Lindblad builder (whose optional second
+    argument is the monitored phase) and the extra entries ``ioqfr steady``
+    reports for a stationary state. Families defined by a JSON config alone
+    leave every field empty."""
 
     params: type | None = None
     aliases: dict[str, str] = field(default_factory=dict)
@@ -289,7 +320,8 @@ def _photon_number(rho: np.ndarray) -> dict[str, float]:
 
 # model names accepted by the CLI and the JSON config schema, in help order
 REGISTRY: dict[str, ModelEntry] = {
-    "cavity": ModelEntry(CavityParams, {"Delta": "delta"}),
+    "cavity": ModelEntry(CavityParams, {"Delta": "delta"}, cavity_model,
+                         _photon_number),
     "rf": ModelEntry(
         RfParams, {"Omega": "rabi"}, rf_model,
         lambda rho: {"excited_population": float(np.real(rho[0, 0]))}),

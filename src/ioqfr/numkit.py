@@ -168,6 +168,8 @@ class SchurFactor:
         if np.iscomplexobj(a):
             raise NumericalError("expected a real matrix")
         a = _as_square(a, float)
+        if not a.size:
+            raise NumericalError("expected a matrix of order at least 1, got 0 x 0")
         self._tol = tol
         try:
             r, q = scipy.linalg.schur(a, output="real")

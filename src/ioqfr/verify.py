@@ -20,7 +20,6 @@ from .bounds import (
     activity_matrix,
     certify_bound,
     classical_reduction_check,
-    coherent_ceiling_check,
     rayleigh_identity,
     rf_positivity_residual,
 )
@@ -31,6 +30,8 @@ from .models import (
     CavityParams,
     KerrCatParams,
     RfParams,
+    cavity_model,
+    cavity_optimal_phase,
     kerr_cat_model,
     rf_closed_forms,
     rf_model,
@@ -126,17 +127,25 @@ def finite_difference_lockin(system: System, current: int, q: int, omega: float,
 # suites
 
 def _suite_cavity_saturation(tol: ToleranceSet) -> tuple[bool, str]:
+    """lambda_max = cos^2(theta - theta*(omega)) on the truncated cavity: 1
+    at the closed-form optimal phase, and at a random phase."""
     rng = np.random.default_rng(42)
     worst = 0.0
     passed = True
-    for _ in range(50):
+    for _ in range(10):
         kappa = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-        delta = float(rng.uniform(-5.0, 5.0))
-        omega = float(rng.uniform(-10.0, 10.0))
-        report = coherent_ceiling_check(CavityParams(kappa=kappa, delta=delta), [omega])
-        worst = max(worst, report.max_error)
-        passed = passed and report.passed
-    return passed, f"max |ratio - 4| and ||s|-1| = {worst:.2e} over 50 samples"
+        params = CavityParams(kappa=kappa, delta=float(rng.uniform(-5.0, 5.0)))
+        system = prepare(cavity_model(params), tol)
+        for omega in rng.uniform(-10.0, 10.0, size=5):
+            optimal = cavity_optimal_phase(params, omega)
+            for theta in (optimal, float(rng.uniform(0.0, np.pi))):
+                report = certify_bound(system.with_monitored([(0, theta)]), [omega])
+                want = np.cos(theta - optimal) ** 2
+                worst = max(worst, abs(float(report.lambda_max[0]) - want))
+                passed = passed and report.all_passed
+    return passed and worst <= 1e-10, (
+        f"max |lambda_max - cos^2(theta - theta*)| = {worst:.2e} over "
+        "10 cavities x 5 frequencies, at theta* and a random theta")
 
 
 def _suite_rf_closed_forms(tol: ToleranceSet) -> tuple[bool, str]:

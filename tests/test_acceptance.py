@@ -2,7 +2,10 @@
 
 The criteria (tolerances frozen in ioqfr.verify):
 
-  cavity_saturation      |ratio - 4| and ||s| - 1| <= 1e-12, 50 seeded draws
+  cavity_saturation      pipeline lambda_max = cos^2(theta - theta*) to 1e-10
+                         on the truncated cavity, at the optimal phase
+                         (J = A) and a random one, 10 seeded cavities x 5
+                         frequencies
   rf_closed_forms        response and both quadrature spectra match the
                          closed forms to 1e-8 relative, 3 drives x 201 points
   rf_positivity          closed-form margin identity nonnegative to 1e-10,

@@ -12,7 +12,6 @@ from ioqfr.bounds import (
     applicable_activity,
     certify_bound,
     classical_reduction_check,
-    coherent_ceiling_check,
     evaluate_point,
     pure_dissipative_residuals,
     rayleigh_identity,
@@ -22,7 +21,6 @@ from ioqfr.bounds import (
 from ioqfr.errors import ActivityDegenerate, PureDissipativeViolated
 from ioqfr.lindblad import LindbladModel, kinetic_signal, prepare, tangent_signal
 from ioqfr.models import (
-    CavityParams,
     KerrCatParams,
     RfParams,
     kerr_cat_model,
@@ -316,14 +314,6 @@ def test_rayleigh_identity_full_rank():
     np.testing.assert_allclose(res.exact_max, res.quadratic_form, rtol=1e-12)
     np.testing.assert_allclose(res.optimal_ratio, res.quadratic_form, rtol=1e-12)
     assert res.random_max <= res.quadratic_form * (1.0 + 1e-12)
-
-
-def test_cavity_ceiling_report():
-    report = coherent_ceiling_check(CavityParams(kappa=2.0, delta=0.7),
-                                    np.linspace(-4.0, 4.0, 33))
-    assert report.passed
-    assert report.max_error <= 1e-12
-    np.testing.assert_allclose(report.ratios, 4.0, atol=1e-12)
 
 
 def test_classical_reduction_two_state():

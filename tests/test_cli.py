@@ -177,8 +177,19 @@ def test_bound_report_cavity(capsys):
                        "--param", "kappa=2", "--n", "9")
     assert code == 0
     report = json.loads(out)
-    assert report["kind"] == "coherent_ceiling"
-    np.testing.assert_allclose(report["ratios"], 4.0, atol=1e-12)
+    assert report["kind"] == "fluctuation_response_bound"
+    assert report["all_passed"]
+    # the stationary photon number of the built-in cavity is 0.3
+    assert abs(report["activity"][0][0] - 0.3 * 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("name", [n for n, e in ioqfr.REGISTRY.items()
+                                  if e.params is not None])
+def test_registry_families_run_every_command(capsys, name):
+    for argv in (("steady",), ("sweep", "--n", "3"), ("bound-report", "--n", "3")):
+        code, out, err = run(capsys, *argv, "--model", name)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
 
 
 def _custom_qubit(**overrides) -> dict:
@@ -235,7 +246,6 @@ def test_config_errors_exit_1(tmp_path, capsys):
     cases = [
         ("steady", "--model", str(bad)),
         ("steady", "--model", "no_such_model"),
-        ("steady", "--model", "cavity"),
         ("sweep", "--model", "classical_jump"),
         ("steady", "--model", "rf", "--param", "bogus=1"),
         ("steady", "--model", "rf", "--param", "kappa"),

@@ -11,7 +11,7 @@ import pytest
 from ioqfr import cli, lindblad, numkit
 from ioqfr.bounds import activity_matrix, certify_bound, evaluate_point
 from ioqfr.errors import DimMismatch, NotMixing, NumericalError, SourceNotTraceless
-from ioqfr.hilbert import pauli
+from ioqfr.hilbert import annihilation, dagger, pauli
 from ioqfr.lindblad import (
     LindbladModel,
     dissipator,
@@ -137,6 +137,28 @@ def test_resolvent_requires_traceless():
     with pytest.raises(SourceNotTraceless, match="source 1 trace"):
         lindblad._traceless_coordinates(
             np.stack([traceless, vec(np.eye(2))], axis=1), DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("n_cut", [12, 16])
+def test_coherent_cavity_sources_pass_trace_check(n_cut):
+    # a driven cavity relaxes to a coherent state |alpha>, on which
+    # B_theta rho = 2 Re(exp(-i theta) alpha) rho, so the projected insertion
+    # source vanishes at every phase: what is left is rounding and truncation
+    # residue, whose trace no tolerance relative to its own norm can hold
+    kappa, delta, drive = 1.0, 0.4, 0.35
+    alpha = -1j * drive / (0.5 * kappa + 1j * delta)
+    a = annihilation(n_cut)
+    ad = dagger(a)
+    for theta in (0.0, np.angle(alpha) + np.pi / 2):
+        system = prepare(LindbladModel(
+            hamiltonian=delta * (ad @ a) + drive * (a + ad),
+            channels=(np.sqrt(kappa) * a,),
+            monitored=((0, theta),),
+            signal=kinetic_signal(np.array([[1.0]]))))
+        report = certify_bound(system, [0.0, 1.1])
+        assert report.all_passed
+        np.testing.assert_allclose(report.activity, [[kappa * abs(alpha) ** 2]],
+                                   rtol=1e-10)
 
 
 def test_zero_frequency_deflation_continuity():

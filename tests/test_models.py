@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from ioqfr.bounds import certify_bound
 from ioqfr.errors import NotIrreducible
 from ioqfr.hilbert import annihilation, dagger
 from ioqfr.lindblad import prepare
@@ -8,8 +10,8 @@ from ioqfr.models import (
     CavityParams,
     KerrCatParams,
     RfParams,
+    cavity_model,
     cavity_optimal_phase,
-    cavity_scalar_ratio,
     cavity_scattering,
     classical_jump_model,
     classical_stationary,
@@ -24,10 +26,28 @@ def test_cavity_scattering_unimodular():
     for omega in (-2.0, 0.0, 0.4, 3.1):
         s = cavity_scattering(params, omega)
         assert abs(abs(s) - 1.0) <= 1e-14
-        assert abs(cavity_scalar_ratio(params, omega) - 4.0) <= 1e-12
-        assert abs(cavity_optimal_phase(params, omega) - np.angle(s)) <= 1e-14
     with pytest.raises(ValueError):
         CavityParams(kappa=0.0)
+
+
+def test_cavity_optimal_phase_maximizes_lambda():
+    # lambda_max = cos^2(theta - theta*) has its maximum 1 at theta*, which
+    # a bounded search over one period of the monitored phase finds
+    params = CavityParams(kappa=1.3, delta=-0.4)
+    system = prepare(cavity_model(params))
+
+    def lambda_max(theta, omega):
+        return certify_bound(system.with_monitored([(0, theta)]), [omega]).lambda_max[0]
+
+    for omega in (-2.0, 0.0, 0.4, 3.1):
+        optimal = cavity_optimal_phase(params, omega)
+        assert 0.0 <= optimal < np.pi
+        start = optimal + 0.7  # keep the maximum away from the search's ends
+        found = minimize_scalar(lambda th: -lambda_max(th, omega),
+                                bounds=(start - np.pi / 2, start + np.pi / 2),
+                                method="bounded", options={"xatol": 1e-10})
+        assert abs(np.remainder(found.x - optimal + np.pi / 2, np.pi) - np.pi / 2) <= 1e-6
+        assert abs(lambda_max(optimal, omega) - 1.0) <= 1e-10
 
 
 def test_rf_closed_form_values():

@@ -206,6 +206,13 @@ def test_schur_factor_gates():
         numkit.SchurFactor(np.eye(2, dtype=complex))
 
 
+def test_schur_factor_rejects_order_zero(capfd):
+    # rejected at construction, before any LAPACK call can print to stderr
+    with pytest.raises(NumericalError, match="order at least 1"):
+        numkit.SchurFactor(np.zeros((0, 0)))
+    assert capfd.readouterr().err == ""
+
+
 def _near_singular_at_1j(rng):
     # a real matrix of order 8 with the eigenvalue pair -1e-9 +- 1j
     core = np.triu(rng.standard_normal((8, 8)), 1) + np.diag(-1.0 - rng.random(8))
