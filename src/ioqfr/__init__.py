@@ -96,8 +96,8 @@ from .models import (
     rf_model,
 )
 from .numkit import DEFAULT_TOL, ToleranceSet
-from .response import ResponseMatrix, complex_response, response_matrix
-from .spectra import NoiseMatrix, homodyne_spectrum, matrix_spectrum
+from .response import LockInMatrix, response_matrix
+from .spectra import matrix_spectrum
 
 __version__ = "0.1.0"
 
@@ -117,12 +117,9 @@ __all__ = [
     "project_traceless",
     "Resolvent",
     "model_fingerprint",
-    "homodyne_spectrum",
     "matrix_spectrum",
-    "NoiseMatrix",
-    "complex_response",
     "response_matrix",
-    "ResponseMatrix",
+    "LockInMatrix",
     "activity_matrix",
     "applicable_activity",
     "pure_dissipative_residuals",

@@ -45,8 +45,8 @@ from .models import (
     rf_closed_forms,
 )
 from .numkit import DEFAULT_TOL, ToleranceSet, hermitize
-from .response import ResponseMatrix, real_embedding, response_from_transfer
-from .spectra import NoiseMatrix, spectrum_from_transfer
+from .response import LockInMatrix, real_embedding, response_matrix
+from .spectra import matrix_spectrum
 
 __all__ = [
     "activity_matrix",
@@ -139,7 +139,7 @@ def applicable_activity(system: System, tol: ToleranceSet | None = None) -> np.n
     return activity
 
 
-def response_to_noise(response: ResponseMatrix, noise: NoiseMatrix,
+def response_to_noise(response: LockInMatrix, noise: LockInMatrix,
                       rel_tol: float = DEFAULT_TOL.pinv_rel) -> np.ndarray:
     """J = R^H pinv(S) R, hermitized: the complex (p, p) matrix whose real
     embedding is real_R^T pinv(real_S) real_R."""
@@ -152,8 +152,8 @@ class BoundPoint:
     """Everything certified at one frequency."""
 
     omega: float
-    noise: NoiseMatrix
-    response: ResponseMatrix
+    noise: LockInMatrix
+    response: LockInMatrix
     j_matrix: np.ndarray
     lambda_max: float
     margin_min: float
@@ -174,8 +174,8 @@ def evaluate_point(system: System, activity: np.ndarray, normalizer: np.ndarray,
     A, and the verdict does not depend on the time unit.
     """
     transfer = system.transfer(omega)
-    noise = spectrum_from_transfer(system, transfer, omega, tol)
-    response = response_from_transfer(system, transfer, omega)
+    noise = matrix_spectrum(system, omega, transfer)
+    response = response_matrix(system, omega, transfer)
     j = response_to_noise(response, noise, tol.pinv_rel)
     norm = normalizer[::2, ::2]
     margin_min = float(np.linalg.eigvalsh(activity - j)[0])
@@ -237,7 +237,8 @@ class BoundReport:
 def certify_bound(system: System, omegas: Sequence[float],
                   tol: ToleranceSet | None = None) -> BoundReport:
     """Certify J(omega) <= A over a frequency grid, with the tolerances
-    ``tol`` (``system.tol`` when None).
+    ``tol`` (``system.tol`` when None); the PSD check of S always reads
+    ``system.tol``, as :func:`~ioqfr.spectra.matrix_spectrum` does.
 
     The activity comes from :func:`applicable_activity`, which raises
     :class:`ActivityDegenerate` or :class:`PureDissipativeViolated` when the

@@ -124,6 +124,8 @@ class SignalSpec:
                 raise DimMismatch("kinetic coefficients must be 2-D (channels x params)")
             if coeff.shape[1] == 0:
                 raise DimMismatch("kinetic coefficients must have at least one parameter")
+            if not np.all(np.isfinite(coeff)):
+                raise ValueError("kinetic coefficients have non-finite entries")
             coeff.setflags(write=False)
             object.__setattr__(self, "coefficients", coeff)
         if self.tangents is not None:
@@ -131,6 +133,8 @@ class SignalSpec:
             width = None
             for row in self.tangents:
                 entries = tuple(None if m is None else _readonly(m) for m in row)
+                if not all(m is None or np.all(np.isfinite(m)) for m in entries):
+                    raise ValueError("tangent operator has non-finite entries")
                 if width is None:
                     width = len(entries)
                 elif len(entries) != width:
@@ -201,6 +205,8 @@ class LindbladModel:
             if mu != given or not 0 <= mu < len(chans):
                 raise DimMismatch(f"monitored channel index {given!r} is not an "
                                   f"integer in [0, {len(chans)})")
+        if not all(math.isfinite(theta) for _, theta in mon):
+            raise ValueError(f"monitored phases are not all finite: {mon}")
         object.__setattr__(self, "monitored", mon)
 
         if self.signal is not None:

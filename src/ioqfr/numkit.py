@@ -116,10 +116,10 @@ def _check_rcond(rcond: float, tol: ToleranceSet) -> None:
 def _check_residual(defect: np.ndarray, a_fro: float, x: np.ndarray, b: np.ndarray,
                     tol: ToleranceSet) -> None:
     """Backward-error test of a solve of a x = b: ||a x - b|| must stay below
-    solve_residual * (||a||_F ||x|| + ||b||)."""
+    solve_residual * (||a||_F ||x|| + ||b||); a NaN residual fails it."""
     residual = np.linalg.norm(defect)
     scale = a_fro * np.linalg.norm(x) + np.linalg.norm(b)
-    if residual > tol.solve_residual * max(scale, np.finfo(float).tiny):
+    if not residual <= tol.solve_residual * max(scale, np.finfo(float).tiny):
         raise NumericalError(
             f"solve residual {residual:.3e} exceeds "
             f"{tol.solve_residual:.1e} * {scale:.3e}")

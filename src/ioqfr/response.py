@@ -14,6 +14,10 @@ monitored channel's own tangent M, and zero otherwise. So R = H[:, m:] + D,
 the perturbation columns of the system's transfer matrix
 H = C (-i omega - L)^(-1) Y (:meth:`~ioqfr.lindblad.System.transfer`) plus
 the direct terms of its realization.
+
+:func:`response_matrix` is the one constructor of R; one response value is
+an entry of its ``complex_matrix``. It returns a :class:`LockInMatrix`, the
+record that :func:`~ioqfr.spectra.matrix_spectrum` returns for S too.
 """
 from __future__ import annotations
 
@@ -26,10 +30,8 @@ from .lindblad import LindbladModel, System
 __all__ = [
     "real_embedding",
     "perturbation_superop",
-    "complex_response",
-    "ResponseMatrix",
+    "LockInMatrix",
     "response_matrix",
-    "response_from_transfer",
 ]
 
 
@@ -61,9 +63,10 @@ def perturbation_superop(model: LindbladModel, q: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ResponseMatrix:
-    """Complex (m, n_params) response at one frequency; ``real_matrix``
-    builds its real (2m, 2 n_params) lock-in embedding on each read."""
+class LockInMatrix:
+    """Complex matrix of the lock-in quadratures at one frequency, the
+    spectrum S or the response R; ``real_matrix`` builds its real blockwise
+    embedding on each read."""
 
     omega: float
     complex_matrix: np.ndarray
@@ -73,22 +76,14 @@ class ResponseMatrix:
         return real_embedding(self.complex_matrix)
 
 
-def response_matrix(system: System, omega: float) -> ResponseMatrix:
-    """Response of every monitored current to every signal at one frequency."""
-    return response_from_transfer(system, system.transfer(omega), omega)
-
-
-def response_from_transfer(system: System, transfer: np.ndarray,
-                           omega: float) -> ResponseMatrix:
-    """R = H[:, m:] + D from ``transfer = system.transfer(omega)``; the model
-    must have a signal."""
+def response_matrix(system: System, omega: float,
+                    transfer: np.ndarray | None = None) -> LockInMatrix:
+    """R = H[:, m:] + D, the response of every monitored current to every
+    signal at one frequency; ``transfer`` is ``system.transfer(omega)`` when
+    the caller already holds it. The model must have a signal."""
+    if transfer is None:
+        transfer = system.transfer(omega)
     system.model.tangents  # raises ValueError when the model has no signal
     cmat = transfer[:, len(system.model.monitored):] + system.direct
     cmat.setflags(write=False)
-    return ResponseMatrix(omega=float(omega), complex_matrix=cmat)
-
-
-def complex_response(system: System, current: int, q: int, omega: float) -> complex:
-    """Complex response of monitored current ``current`` to signal ``q``:
-    one entry of :func:`response_matrix`."""
-    return complex(response_matrix(system, omega).complex_matrix[current, q])
+    return LockInMatrix(omega=float(omega), complex_matrix=cmat)

@@ -20,48 +20,30 @@ of the system's transfer matrix (:meth:`~ioqfr.lindblad.System.transfer`).
 S is Hermitian by construction and positive semidefinite up to solver
 noise. Its blockwise real embedding is the covariance matrix of the unit-RMS
 lock-in quadrature pairs.
+
+:func:`matrix_spectrum` is the one constructor of S. The spectrum of a
+single current (mu, theta) is the (0, 0) entry of S on the view
+``system.with_monitored([(mu, theta)])``; a caller that already holds the
+transfer matrix at omega passes it, so S and R share one solve.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DuplicateChannel, NumericalError
 from .lindblad import System
-from .numkit import ToleranceSet
-from .response import real_embedding
+from .response import LockInMatrix
 
-__all__ = [
-    "homodyne_spectrum",
-    "NoiseMatrix",
-    "matrix_spectrum",
-    "spectrum_from_transfer",
-]
+__all__ = ["matrix_spectrum"]
 
 
-@dataclass(frozen=True)
-class NoiseMatrix:
-    """Hermitian (m, m) spectrum matrix at one frequency; ``real_matrix``
-    builds its real (2m, 2m) lock-in covariance embedding on each read."""
-
-    omega: float
-    complex_matrix: np.ndarray
-
-    @property
-    def real_matrix(self) -> np.ndarray:
-        return real_embedding(self.complex_matrix)
-
-
-def matrix_spectrum(system: System, omega: float) -> NoiseMatrix:
-    """Spectrum matrix over all monitored currents at one frequency, its PSD
-    check held to ``system.tol``."""
-    return spectrum_from_transfer(system, system.transfer(omega), omega, system.tol)
-
-
-def spectrum_from_transfer(system: System, transfer: np.ndarray, omega: float,
-                           tol: ToleranceSet) -> NoiseMatrix:
-    """S = I + K + K^H from the first m columns K of ``system.transfer(omega)``."""
+def matrix_spectrum(system: System, omega: float,
+                    transfer: np.ndarray | None = None) -> LockInMatrix:
+    """S = I + K + K^H over all monitored currents at one frequency, K the
+    first m columns of ``transfer`` (``system.transfer(omega)`` when None);
+    its PSD check is held to ``system.tol.spectrum_psd``."""
+    if transfer is None:
+        transfer = system.transfer(omega)
     channels = system.model.monitored_channels
     if len(set(channels)) != len(channels):
         raise DuplicateChannel(
@@ -71,19 +53,8 @@ def spectrum_from_transfer(system: System, transfer: np.ndarray, omega: float,
     k = transfer[:, :m]
     cmat = np.eye(m) + k + k.conj().T
     eigs = np.linalg.eigvalsh(cmat)
-    if eigs[0] < -tol.spectrum_psd:
+    if eigs[0] < -system.tol.spectrum_psd:
         raise NumericalError(
             f"spectrum matrix at omega={omega!r} has negative eigenvalue {eigs[0]:.3e}")
     cmat.setflags(write=False)
-    return NoiseMatrix(omega=float(omega), complex_matrix=cmat)
-
-
-def homodyne_spectrum(system: System, channel: int, theta: float,
-                      omega: float) -> float:
-    """Output spectrum of one homodyne current, shot noise normalized to 1:
-    the (0, 0) entry of :func:`matrix_spectrum` with only that current
-    monitored. The channel must be one the model already monitors."""
-    if channel not in system.model.monitored_channels:
-        raise ValueError(f"channel {channel} is not monitored")
-    single = system.with_monitored([(channel, theta)])
-    return float(matrix_spectrum(single, omega).complex_matrix[0, 0].real)
+    return LockInMatrix(omega=float(omega), complex_matrix=cmat)

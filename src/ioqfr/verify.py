@@ -38,7 +38,7 @@ from .models import (
     classical_jump_model,
 )
 from .numkit import DEFAULT_TOL, ToleranceSet, pinv
-from .response import complex_response, perturbation_superop
+from .response import perturbation_superop, response_matrix
 from .spectra import matrix_spectrum
 
 __all__ = [
@@ -157,7 +157,7 @@ def _suite_rf_closed_forms(tol: ToleranceSet) -> tuple[bool, str]:
         x_view = system.with_monitored([(0, 0.0)])
         for w in omegas:
             forms = rf_closed_forms(params, w)
-            r_pipe = -complex_response(system, 0, 0, w)
+            r_pipe = -response_matrix(system, w).complex_matrix[0, 0]
             s_y = matrix_spectrum(system, w).complex_matrix[0, 0].real
             s_x = matrix_spectrum(x_view, w).complex_matrix[0, 0].real
             worst = max(
@@ -193,7 +193,7 @@ def _suite_rf_phase_bound(tol: ToleranceSet) -> tuple[bool, str]:
         system = base.with_monitored([(0, theta)])
         for w in omegas:
             s_theta = matrix_spectrum(system, w).complex_matrix[0, 0].real
-            r_theta = complex_response(system, 0, 0, w)
+            r_theta = response_matrix(system, w).complex_matrix[0, 0]
             worst = min(worst, s_theta * activity - abs(r_theta) ** 2)
     return worst >= -1e-10, f"min (S_theta A - |R_theta|^2) = {worst:.3e}"
 
@@ -244,12 +244,12 @@ def _suite_lockin_normalization(tol: ToleranceSet) -> tuple[bool, str]:
     system = prepare(rf_model(RfParams(kappa=1.0, rabi=1.0), theta=np.pi / 2), tol)
     worst = 0.0
     for w in (0.4, 0.9, 1.7, 2.6, 3.5):
-        ref = complex_response(system, 0, 0, w)
+        ref = response_matrix(system, w).complex_matrix[0, 0]
         fd = finite_difference_lockin(system, 0, 0, w)
         worst = max(worst, abs(fd - ref) / abs(ref))
     # sine envelope pins the second lock-in column including its sign
     w = 1.7
-    ref = complex_response(system, 0, 0, w)
+    ref = response_matrix(system, w).complex_matrix[0, 0]
     fd = finite_difference_lockin(system, 0, 0, w, envelope="sin")
     expected = complex(-ref.imag, ref.real)
     worst = max(worst, abs(fd - expected) / abs(expected))

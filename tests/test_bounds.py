@@ -18,8 +18,15 @@ from ioqfr.bounds import (
     response_to_noise,
     rf_positivity_residual,
 )
-from ioqfr.errors import ActivityDegenerate, PureDissipativeViolated
-from ioqfr.lindblad import LindbladModel, kinetic_signal, prepare, tangent_signal
+from ioqfr.errors import ActivityDegenerate, NumericalError, PureDissipativeViolated
+from ioqfr.lindblad import (
+    LindbladModel,
+    StationaryState,
+    System,
+    kinetic_signal,
+    prepare,
+    tangent_signal,
+)
 from ioqfr.models import (
     KerrCatParams,
     RfParams,
@@ -27,8 +34,8 @@ from ioqfr.models import (
     rf_model,
 )
 from ioqfr.numkit import DEFAULT_TOL, hermitize, psd_inv_sqrt
-from ioqfr.response import real_embedding, response_matrix
-from ioqfr.spectra import NoiseMatrix, matrix_spectrum
+from ioqfr.response import LockInMatrix, real_embedding, response_matrix
+from ioqfr.spectra import matrix_spectrum
 
 
 def test_activity_driven_emitter(rf_unit):
@@ -201,6 +208,19 @@ def test_activity_degenerate():
         certify_bound(prepare(dead), [0.0])
 
 
+def test_activity_rejects_a_state_that_is_not_psd(rf_unit):
+    # a Hermitian, unit-trace state with a negative excited population: the
+    # rate signal's activity Tr[L^dag L rho] is then negative
+    rho = np.diag([-0.2, 1.2]).astype(complex)
+    rho.setflags(write=False)
+    steady = StationaryState(rho=rho, gap=rf_unit.steady.gap, residual=0.0,
+                             factor=rf_unit.steady.factor)
+    system = System(model=rf_unit.model, steady=steady, tol=rf_unit.tol)
+    with pytest.raises(NumericalError, match=r"activity matrix has negative eigenvalue "
+                                             r"-2\.000e-01 \(largest -2\.000e-01\)"):
+        activity_matrix(system)
+
+
 def test_response_to_noise_symmetry(rf_unit):
     noise = matrix_spectrum(rf_unit, 0.8)
     response = response_matrix(rf_unit, 0.8)
@@ -225,7 +245,7 @@ def test_complex_certificate_embeds_real_formula():
             # drop the smallest eigenvalue of S: both pseudo-inverses truncate
             w, v = np.linalg.eigh(noise.complex_matrix)
             s = hermitize((v[:, 1:] * w[1:]) @ v[:, 1:].conj().T)
-            noise = NoiseMatrix(omega=omega, complex_matrix=s)
+            noise = LockInMatrix(omega=omega, complex_matrix=s)
             assert np.linalg.matrix_rank(noise.real_matrix, tol=1e-10) == 2
         r_real = response.real_matrix
         want = r_real.T @ np.linalg.pinv(noise.real_matrix,

@@ -111,6 +111,20 @@ def test_steady_state_rejects_a_stationary_residual(rf_unit, monkeypatch):
         steady_state(generator)
 
 
+def test_steady_state_rejects_a_negative_eigenvalue(rf_unit, monkeypatch):
+    generator = liouvillian(rf_unit.model)
+    hermitize = numkit.hermitize
+
+    def shifted(a):
+        rho = hermitize(a)
+        return rho - (np.linalg.eigvalsh(rho)[0] + 1e-6) * np.eye(len(rho))
+
+    monkeypatch.setattr(numkit, "hermitize", shifted)
+    with pytest.raises(NumericalError,
+                       match=r"stationary state has negative eigenvalue -1\.000e-06"):
+        steady_state(generator)
+
+
 def test_not_mixing_zero_generator():
     with pytest.raises(NotMixing):
         steady_state(np.zeros((4, 4), dtype=complex))
@@ -229,7 +243,12 @@ def _qubit_signal(signal):
     (lambda: lindblad.SignalSpec(), ValueError, "exactly one"),
     (lambda: lindblad.SignalSpec(coefficients=np.ones((2, 1)),
                                  tangents=((None,), (None,))), ValueError, "exactly one"),
-], ids=["kinetic_rows", "tangent_shape", "ragged", "neither", "both"])
+    (lambda: kinetic_signal([[np.inf]]), ValueError, "non-finite"),
+    (lambda: kinetic_signal([[1.0, np.nan]]), ValueError, "non-finite"),
+    (lambda: tangent_signal([[None, np.array([[0.0, np.nan], [0.0, 0.0]])]]),
+     ValueError, "non-finite"),
+], ids=["kinetic_rows", "tangent_shape", "ragged", "neither", "both",
+        "kinetic_inf", "kinetic_nan", "tangent_nan"])
 def test_signal_validation(build, error, message):
     with pytest.raises(error, match=message):
         build()
@@ -275,6 +294,14 @@ def test_monitored_channel_index_must_be_integral():
     model = LindbladModel(hamiltonian=np.zeros((2, 2)), channels=channels,
                           monitored=((1.0, 0.0),))
     assert model.monitored == ((1, 0.0),)
+
+
+@pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_monitored_phase_must_be_finite(theta):
+    # a non-finite phase would reach every transfer matrix as NaN
+    with pytest.raises(ValueError, match="monitored phases are not all finite"):
+        LindbladModel(hamiltonian=np.zeros((2, 2)), channels=(pauli("minus"),),
+                      monitored=((0, theta),))
 
 
 def test_hamiltonian_check_is_scale_free():

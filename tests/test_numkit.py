@@ -11,7 +11,7 @@ from ioqfr import numkit
 from ioqfr.errors import NotPSD, NumericalError, SingularMatrix
 from ioqfr.lindblad import prepare
 from ioqfr.models import KerrCatParams, kerr_cat_model
-from ioqfr.numkit import DEFAULT_TOL, ToleranceSet
+from ioqfr.numkit import DEFAULT_TOL
 
 
 def test_tolerance_set_replacing():
@@ -204,6 +204,13 @@ def test_schur_factor_gates():
                            DEFAULT_TOL.replacing(solve_residual=1e-30))
     with pytest.raises(NumericalError, match="real"):
         numkit.SchurFactor(np.eye(2, dtype=complex))
+
+
+def test_schur_solve_rejects_a_nan_source():
+    # a NaN residual fails the backward-error test instead of passing it
+    factor = numkit.SchurFactor(np.array([[-1.0, 0.3], [0.0, -2.0]]))
+    with pytest.raises(NumericalError, match="solve residual nan"):
+        factor.solve(0.5j, np.array([[np.nan], [1.0]]))
 
 
 def test_schur_factor_rejects_order_zero(capfd):

@@ -5,7 +5,6 @@ from ioqfr.hilbert import pauli
 from ioqfr.lindblad import (
     LindbladModel,
     dissipator,
-    kinetic_signal,
     perturbation_state,
     prepare,
     tangent_signal,
@@ -13,12 +12,7 @@ from ioqfr.lindblad import (
     vec,
 )
 from ioqfr.models import RfParams, rf_closed_forms, rf_model
-from ioqfr.response import (
-    complex_response,
-    perturbation_superop,
-    real_embedding,
-    response_matrix,
-)
+from ioqfr.response import perturbation_superop, real_embedding, response_matrix
 
 
 def _tangent_twin(kappa=1.0, rabi=1.0, theta=np.pi / 2):
@@ -47,8 +41,8 @@ def test_tangent_matches_kinetic(rf_unit):
     np.testing.assert_allclose(v_tan, v_kin, atol=1e-13)
     for omega in (0.0, 0.7, 2.1):
         np.testing.assert_allclose(
-            complex_response(twin, 0, 0, omega),
-            complex_response(rf_unit, 0, 0, omega), atol=1e-12)
+            response_matrix(twin, omega).complex_matrix,
+            response_matrix(rf_unit, omega).complex_matrix, atol=1e-12)
 
 
 def test_perturbation_state_matches_superop(rf_unit):
@@ -67,7 +61,7 @@ def test_perturbation_state_traceless(rf_unit):
 def test_zero_frequency_response_value(rf_unit):
     # closed form: the pi/2-quadrature response at omega = 0 equals -5/9
     # in this package's sign convention (monitored quadrature vs drive)
-    value = complex_response(rf_unit, 0, 0, 0.0)
+    value = response_matrix(rf_unit, 0.0).complex_matrix[0, 0]
     np.testing.assert_allclose(value, -5.0 / 9.0, atol=1e-12)
     forms = rf_closed_forms(RfParams(kappa=1.0, rabi=1.0), 0.0)
     np.testing.assert_allclose(-value, forms.response_y, atol=1e-12)
@@ -77,14 +71,14 @@ def test_response_against_closed_form(rf_unit):
     params = RfParams(kappa=1.0, rabi=1.0)
     for omega in (0.3, 1.3, 4.2):
         forms = rf_closed_forms(params, omega)
-        value = -complex_response(rf_unit, 0, 0, omega)
+        value = -response_matrix(rf_unit, omega).complex_matrix[0, 0]
         np.testing.assert_allclose(value, forms.response_y, atol=1e-12)
 
 
 def test_response_reality_symmetry(rf_unit):
     for omega in (0.4, 1.9):
-        plus = complex_response(rf_unit, 0, 0, omega)
-        minus = complex_response(rf_unit, 0, 0, -omega)
+        plus = response_matrix(rf_unit, omega).complex_matrix
+        minus = response_matrix(rf_unit, -omega).complex_matrix
         np.testing.assert_allclose(minus, np.conj(plus), atol=1e-12)
 
 
@@ -97,8 +91,8 @@ def test_direct_term_only_for_monitored_overlap():
     expected = 0.5 * float(np.trace(x @ system.rho).real)
     np.testing.assert_allclose(system.direct, [[expected]], atol=1e-13)
     # the resolvent part decays as 1/omega, leaving the direct term
-    far = complex_response(system, 0, 0, 1e9)
-    np.testing.assert_allclose(far, expected, atol=1e-8)
+    far = response_matrix(system, 1e9).complex_matrix
+    np.testing.assert_allclose(far, [[expected]], atol=1e-8)
 
 
 def test_real_embedding_homomorphism():
@@ -129,8 +123,10 @@ def test_response_matrix_shapes(kerr_ref):
     assert rm.complex_matrix.shape == (1, 2)
     assert rm.real_matrix.shape == (2, 4)
     np.testing.assert_allclose(rm.real_matrix, real_embedding(rm.complex_matrix))
-    row = [complex_response(kerr_ref, 0, q, 0.8) for q in range(2)]
-    np.testing.assert_allclose(rm.complex_matrix[0], row, atol=1e-12)
+    # the caller's transfer matrix gives the same R without another solve
+    np.testing.assert_array_equal(
+        response_matrix(kerr_ref, 0.8, kerr_ref.transfer(0.8)).complex_matrix,
+        rm.complex_matrix)
     assert not rm.complex_matrix.flags.writeable
 
 

@@ -3,10 +3,11 @@ import pytest
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from ioqfr.errors import DuplicateChannel
+from ioqfr.errors import DuplicateChannel, NumericalError
 from ioqfr.hilbert import pauli, quadrature
 from ioqfr.lindblad import (
     LindbladModel,
+    System,
     insertion_state,
     kinetic_signal,
     liouvillian,
@@ -16,9 +17,10 @@ from ioqfr.lindblad import (
     unvec,
     vec,
 )
-from ioqfr.models import KerrCatParams, RfParams, kerr_cat_model, rf_closed_forms, rf_model
+from ioqfr.models import RfParams, rf_closed_forms
+from ioqfr.numkit import DEFAULT_TOL
 from ioqfr.response import response_matrix
-from ioqfr.spectra import homodyne_spectrum, matrix_spectrum
+from ioqfr.spectra import matrix_spectrum
 
 
 def test_undriven_emitter_is_shot_noise_limited():
@@ -30,38 +32,47 @@ def test_undriven_emitter_is_shot_noise_limited():
     )
     system = prepare(model)
     for omega in (0.0, 0.5, 2.0):
-        np.testing.assert_allclose(homodyne_spectrum(system, 0, 0.3, omega),
-                                   1.0, atol=1e-12)
+        np.testing.assert_allclose(matrix_spectrum(system, omega).complex_matrix,
+                                   [[1.0]], atol=1e-12)
 
 
 def test_closed_form_values(rf_unit):
-    assert abs(homodyne_spectrum(rf_unit, 0, 0.0, 0.0) - 11.0 / 3.0) <= 1e-12
-    assert abs(homodyne_spectrum(rf_unit, 0, np.pi / 2, 0.0) - 17.0 / 9.0) <= 1e-12
+    x_view = rf_unit.with_monitored([(0, 0.0)])
+    assert abs(matrix_spectrum(x_view, 0.0).complex_matrix[0, 0].real
+               - 11.0 / 3.0) <= 1e-12
+    assert abs(matrix_spectrum(rf_unit, 0.0).complex_matrix[0, 0].real
+               - 17.0 / 9.0) <= 1e-12
     for omega in (0.6, 1.7):
         forms = rf_closed_forms(RfParams(kappa=1.0, rabi=1.0), omega)
-        assert abs(homodyne_spectrum(rf_unit, 0, 0.0, omega)
+        assert abs(matrix_spectrum(x_view, omega).complex_matrix[0, 0].real
                    - forms.spectrum_x) <= 1e-12
-        assert abs(homodyne_spectrum(rf_unit, 0, np.pi / 2, omega)
+        assert abs(matrix_spectrum(rf_unit, omega).complex_matrix[0, 0].real
                    - forms.spectrum_y) <= 1e-12
 
 
-def test_unmonitored_channel_rejected(rf_unit, kerr_ref):
-    with pytest.raises(ValueError):
-        homodyne_spectrum(rf_unit, 1, 0.0, 0.0)
-    # the Kerr model's channel 1 (internal loss) exists but is not monitored
-    with pytest.raises(ValueError, match="not monitored"):
-        homodyne_spectrum(kerr_ref, 1, 0.0, 0.5)
-
-
 def test_matrix_reduces_to_scalar(rf_unit):
+    y_view = rf_unit.with_monitored([(0, np.pi / 2)])
     for omega in (0.0, 0.9, 3.3):
         noise = matrix_spectrum(rf_unit, omega)
-        scalar = homodyne_spectrum(rf_unit, 0, np.pi / 2, omega)
+        scalar = matrix_spectrum(y_view, omega).complex_matrix[0, 0].real
         assert noise.complex_matrix.shape == (1, 1)
         np.testing.assert_allclose(noise.complex_matrix[0, 0], scalar,
                                    atol=1e-12)
         np.testing.assert_allclose(noise.real_matrix, scalar * np.eye(2),
                                    atol=1e-12)
+
+
+def test_spectrum_psd_gate_reads_system_tol(rf_unit, monkeypatch):
+    # a transfer matrix whose S = 1 + 2 K is -1e-9: within the default
+    # spectrum_psd of 1e-8, beyond the 1e-10 of a System prepared with it
+    transfer = np.array([[-0.5 * (1.0 + 1e-9), 0.0]])
+    strict = prepare(rf_unit.model, DEFAULT_TOL.replacing(spectrum_psd=1e-10))
+    monkeypatch.setattr(System, "transfer", lambda self, omega: transfer)
+    noise = matrix_spectrum(rf_unit, 0.5)
+    np.testing.assert_allclose(noise.complex_matrix, [[-1e-9]], rtol=1e-6)
+    with pytest.raises(NumericalError, match=r"spectrum matrix at omega=0\.5 has "
+                                             r"negative eigenvalue -1\.000e-09"):
+        matrix_spectrum(strict, 0.5)
 
 
 def test_duplicate_channel_rejected(rf_unit):
@@ -126,8 +137,8 @@ def test_one_solve_matches_two_sided_definition(kerr_ref):
 
 def test_spectrum_even_in_frequency(rf_unit):
     for omega in (0.4, 2.2):
-        plus = homodyne_spectrum(rf_unit, 0, np.pi / 2, omega)
-        minus = homodyne_spectrum(rf_unit, 0, np.pi / 2, -omega)
+        plus = matrix_spectrum(rf_unit, omega).complex_matrix
+        minus = matrix_spectrum(rf_unit, -omega).complex_matrix
         np.testing.assert_allclose(plus, minus, atol=1e-12)
 
 
@@ -153,4 +164,4 @@ def test_time_domain_oracle(rf_unit):
         integral = simpson(np.real(np.exp(1j * omega * taus) * corr
                                    + np.exp(-1j * omega * taus) * corr), x=taus)
         direct = 1.0 + integral
-        assert abs(direct - homodyne_spectrum(rf_unit, 0, theta, omega)) <= 1e-4
+        assert abs(direct - matrix_spectrum(rf_unit, omega).complex_matrix[0, 0].real) <= 1e-4

@@ -45,6 +45,23 @@ metrics, absent = run.per_layer([worker], [worker])
 print(json.dumps({"metrics": sorted(metrics), "absent": absent}))
 """
 
+# The first ops of a traced sweep_d144_phases certificate: each one is one
+# evaluate_point, which must build S and R through the traced entries. For
+# every evaluate_point span, the names of the spans directly inside it.
+POINT_PROBE = """
+import json
+import ioqfr
+import tracing
+tracer = tracing.Tracer()
+tracer.install()
+import workloads
+for op in workloads.build("sweep_d144_phases", 1, 0).ops[:6]:
+    op()
+spans = tracer.spans
+print(json.dumps([sorted(s.name for s in spans if s.parent == i)
+                  for i, p in enumerate(spans) if p.name == "bounds.evaluate_point"]))
+"""
+
 
 def test_tracer_installs_every_layer():
     src = os.path.dirname(os.path.dirname(ioqfr.__file__))
@@ -64,3 +81,15 @@ def test_traced_scan_reports_every_metric():
     result = json.loads(out)
     assert "bounds.evaluate_point.p50_ms" in result["metrics"]
     assert result["absent"] == []
+
+
+def test_each_point_builds_s_and_r_through_traced_entries():
+    src = os.path.dirname(os.path.dirname(ioqfr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, str(PERFBENCH)]))
+    out = subprocess.run([sys.executable, "-c", POINT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    points = json.loads(out)
+    assert len(points) == 6
+    for children in points:
+        assert children.count("spectra.matrix_spectrum") == 1
+        assert children.count("response.response_matrix") == 1
