@@ -22,6 +22,7 @@ resolvent applied afterwards, at any frequency, is one triangular solve with
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -302,23 +303,30 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Gell-Mann coordinates
 
+@functools.lru_cache(maxsize=None)
 def _gell_mann_diagonal(d: int) -> np.ndarray:
     """Orthogonal (d, d) matrix whose columns are the diagonals of I/sqrt(d)
     and of the traceless diag(1, ..., 1, -l, 0, ..., 0) / sqrt(l (l + 1)),
-    l = 1 .. d - 1."""
+    l = 1 .. d - 1. Cached per d and read-only."""
     out = np.zeros((d, d))
     out[:, 0] = 1.0 / math.sqrt(d)
     for level in range(1, d):
         norm = math.sqrt(level * (level + 1))
         out[:level, level] = 1.0 / norm
         out[level, level] = -level / norm
+    out.setflags(write=False)
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _basis_indices(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """vec indices of the diagonal entries, and of (j, k) and (k, j), j < k."""
+    """vec indices of the diagonal entries, and of (j, k) and (k, j), j < k.
+    Cached per d and read-only."""
     j, k = np.triu_indices(d, 1)
-    return np.arange(d) * (d + 1), j + k * d, k + j * d
+    indices = np.arange(d) * (d + 1), j + k * d, k + j * d
+    for array in indices:
+        array.setflags(write=False)
+    return indices
 
 
 _PAIR_CHUNK = 64  # off-diagonal pairs per pass of _to_coherence

@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import numkit
 from .errors import DimMismatch, NotIrreducible
@@ -244,7 +242,15 @@ def _rate_matrix(rates: np.ndarray) -> np.ndarray:
     np.fill_diagonal(off, 0.0)
     if np.any(off < 0.0):
         raise ValueError("off-diagonal rates must be nonnegative")
-    n_comp, _ = connected_components(csr_matrix(off > 0.0), connection="strong")
+    # strong connectivity: squaring the reflexive adjacency ceil(log2 n)
+    # times gives reachability along every path of up to n - 1 edges, and
+    # the strongly connected components are the distinct rows of
+    # reach & reach^T (two nodes share one iff each reaches the other)
+    n = off.shape[0]
+    reach = (off > 0.0) | np.eye(n, dtype=bool)
+    for _ in range(max(n - 1, 1).bit_length()):
+        reach = reach @ reach
+    n_comp = len(np.unique(reach & reach.T, axis=0))
     if n_comp != 1:
         raise NotIrreducible(
             f"rate graph has {n_comp} strongly connected components")

@@ -131,11 +131,12 @@ class SchurFactor:
 
     The real Schur form a = Q R Q^T (LAPACK gees) is factored once; its
     backward error ||a Q - Q R||_F must stay below ``tol.solve_residual``
-    times ||a||_F. ``scipy.linalg.rsf2csf`` then makes it complex upper
-    triangular. Z is kept read-only, :attr:`eigenvalues` is diag(T), and -T
-    is kept once, as the upper half of an order x order array in Fortran
-    order, the layout LAPACK reads in place; the strict lower half of the
-    same array holds -|T|^T.
+    times ||a||_F. :func:`_complex_schur` then makes it complex upper
+    triangular: the T and Z of ``scipy.linalg.rsf2csf``, bit for bit, with
+    every Givens rotation built in one batched pass. Z is kept read-only,
+    :attr:`eigenvalues` is diag(T), and -T is kept once, as the upper half
+    of an order x order array in Fortran order, the layout LAPACK reads in
+    place; the strict lower half of the same array holds -|T|^T.
 
     Every shifted solve is one triangular solve, gated on its 1-norm
     condition number against ``tol.cond_max`` and residual-checked like
@@ -181,13 +182,13 @@ class SchurFactor:
             raise NumericalError(
                 f"Schur backward error {backward:.3e} exceeds "
                 f"{tol.solve_residual:.1e} * {a_fro:.3e}")
-        t, self._z = scipy.linalg.rsf2csf(r, q)
+        t, self._z = _complex_schur(r, q)
         del r, q
         self.eigenvalues = np.diagonal(t).copy()
         self._strict_fro2 = max(float(np.linalg.norm(t) ** 2
                                       - np.linalg.norm(self.eigenvalues) ** 2), 0.0)
         # -T goes into a fresh array made after the set-up temporaries are
-        # freed. Left in rsf2csf's array, which is allocated among them, it
+        # freed. Left in the conversion's array, allocated among them, it
         # read a peak RSS of 155.3 MB on perfbench's sweep_d900 against
         # 149.1 MB for the copy (2 cores): heap placement, not its size
         self._triangle = triangle = np.array(np.negative(t, out=t), order="F")
@@ -257,6 +258,45 @@ class SchurFactor:
 
 
 _EPS = np.finfo(float).eps
+
+
+def _complex_schur(r: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (T, Z) of a real Schur form a = q r q^T: the arrays
+    ``scipy.linalg.rsf2csf(r, q)`` returns, bit for bit.
+
+    rsf2csf walks the 2 x 2 blocks of r from the bottom up. It builds each
+    block's Givens rotation from the block's eigenvalue and applies it to
+    two rows and two columns of T and to two columns of Z. A rotation reads
+    only its own block, which no rotation below it touches as long as no
+    two nonzero subdiagonal entries are adjacent, as in every real Schur
+    form (checked). So all rotations are built here at once: the blocks by
+    rsf2csf's ``eps`` test, their eigenvalues from one stacked LAPACK call,
+    and the radii by ``numpy.linalg.norm``'s formula, with its two sums of
+    squares through the same BLAS dot at the same strides: that dot fuses
+    its second product into the sum, so an elementwise a*a + b*b rounds
+    differently on about one random pair in ten. Only the three BLAS
+    products per block stay in the loop, in rsf2csf's order.
+    """
+    t, z = r.astype(complex), q.astype(complex)
+    sub = np.diagonal(r, -1)
+    if np.any((sub[1:] != 0.0) & (sub[:-1] != 0.0)):
+        raise NumericalError("not a real Schur form: adjacent nonzero subdiagonal entries")
+    moduli = np.abs(np.diagonal(r))
+    rows = np.flatnonzero(np.abs(sub) > _EPS * (moduli[:-1] + moduli[1:]))[::-1] + 1
+    pair = rows[:, None] + np.array([-1, 0])
+    mu = np.linalg.eigvals(t[pair[:, :, None], pair[:, None, :]])[:, 0] - t[rows, rows]
+    x = np.stack((mu, t[rows, rows - 1]), axis=1)
+    squares = x.real[:, None] @ x.real[:, :, None] + x.imag[:, None] @ x.imag[:, :, None]
+    radius = np.sqrt(squares[:, 0, 0])
+    c, s = mu / radius, x[:, 1] / radius
+    g = np.stack((np.stack((c.conj(), s), axis=1), np.stack((-s, c), axis=1)), axis=1)
+    for m, rot, adjoint in zip(rows.tolist(), g, g.conj().transpose(0, 2, 1)):
+        t[m - 1:m + 1, m - 1:] = rot.dot(t[m - 1:m + 1, m - 1:])
+        t[:m + 1, m - 1:m + 1] = t[:m + 1, m - 1:m + 1].dot(adjoint)
+        z[:, m - 1:m + 1] = z[:, m - 1:m + 1].dot(adjoint)
+    below = np.arange(len(t) - 1)
+    t[below + 1, below] = 0.0
+    return t, z
 
 
 def _tri_inverse_bound(tri: np.ndarray, moduli: np.ndarray) -> float:

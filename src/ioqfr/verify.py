@@ -157,8 +157,9 @@ def _suite_rf_closed_forms(tol: ToleranceSet) -> tuple[bool, str]:
         x_view = system.with_monitored([(0, 0.0)])
         for w in omegas:
             forms = rf_closed_forms(params, w)
-            r_pipe = -response_matrix(system, w).complex_matrix[0, 0]
-            s_y = matrix_spectrum(system, w).complex_matrix[0, 0].real
+            transfer = system.transfer(w)
+            r_pipe = -response_matrix(system, w, transfer).complex_matrix[0, 0]
+            s_y = matrix_spectrum(system, w, transfer).complex_matrix[0, 0].real
             s_x = matrix_spectrum(x_view, w).complex_matrix[0, 0].real
             worst = max(
                 worst,
@@ -192,8 +193,9 @@ def _suite_rf_phase_bound(tol: ToleranceSet) -> tuple[bool, str]:
     for theta in (np.pi / 4, np.pi / 2):
         system = base.with_monitored([(0, theta)])
         for w in omegas:
-            s_theta = matrix_spectrum(system, w).complex_matrix[0, 0].real
-            r_theta = response_matrix(system, w).complex_matrix[0, 0]
+            transfer = system.transfer(w)
+            s_theta = matrix_spectrum(system, w, transfer).complex_matrix[0, 0].real
+            r_theta = response_matrix(system, w, transfer).complex_matrix[0, 0]
             worst = min(worst, s_theta * activity - abs(r_theta) ** 2)
     return worst >= -1e-10, f"min (S_theta A - |R_theta|^2) = {worst:.3e}"
 

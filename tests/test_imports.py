@@ -1,4 +1,5 @@
-"""Every module of ``src/ioqfr`` uses what it imports.
+"""Every module of ``src/ioqfr`` uses what it imports, and the CLI imports
+no more of scipy than ``scipy.linalg``.
 
 A name counts as used when the module reads it anywhere in its code or lists
 it in its ``__all__`` (a re-export). ``from __future__`` imports are exempt.
@@ -7,6 +8,9 @@ Only the standard library's ``ast`` is used, so the check needs no linter.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ioqfr
@@ -44,3 +48,13 @@ def test_no_unused_imports():
 def test_guard_sees_an_unused_import():
     assert _unused_imports("import os\nimport sys\nprint(sys.argv)\n") == ["line 1: os"]
     assert _unused_imports("from a import b\n__all__ = ['b']\n") == []
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    # scipy.sparse costs about 20 ms of import on top of scipy.linalg; a
+    # fresh interpreter, since the test session itself may have imported it
+    probe = "import sys, ioqfr.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

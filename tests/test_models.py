@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
+from ioqfr import models
 from ioqfr.bounds import certify_bound
 from ioqfr.errors import NotIrreducible
 from ioqfr.hilbert import annihilation, dagger
@@ -141,6 +144,20 @@ def test_classical_rejects_disconnected():
         classical_stationary(rates)
     with pytest.raises(NotIrreducible):
         classical_jump_model(rates, np.ones((1, 4, 4)))
+
+
+def test_strong_components_match_scipy_csgraph():
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        d = int(rng.integers(1, 10))
+        rates = rng.uniform(0.1, 1.0, (d, d)) * (rng.random((d, d)) < rng.uniform(0.05, 0.6))
+        np.fill_diagonal(rates, 0.0)
+        n_comp, _ = connected_components(csr_matrix(rates > 0.0), connection="strong")
+        if n_comp == 1:
+            models._rate_matrix(rates)
+        else:
+            with pytest.raises(NotIrreducible, match=f"has {n_comp} strongly connected"):
+                models._rate_matrix(rates)
 
 
 def test_classical_rejects_negative_rates():

@@ -9,7 +9,7 @@ from scipy.linalg import lapack
 
 from ioqfr import numkit
 from ioqfr.errors import NotPSD, NumericalError, SingularMatrix
-from ioqfr.lindblad import prepare
+from ioqfr.lindblad import _coherence_generator, liouvillian, prepare
 from ioqfr.models import KerrCatParams, kerr_cat_model
 from ioqfr.numkit import DEFAULT_TOL
 
@@ -180,9 +180,36 @@ def test_schur_factor_matches_rsf2csf():
     # the stored array is -T above the diagonal and -|T|^T below it
     stored = factor._triangle
     np.testing.assert_array_equal(np.tril(stored, -1), -np.abs(np.triu(stored, 1)).T)
-    reference, _ = scipy.linalg.rsf2csf(*scipy.linalg.schur(a, output="real"))
-    gaps = np.abs(factor.eigenvalues[:, None] - np.diagonal(reference)[None, :])
-    assert gaps.min(axis=0).max() <= 1e-12 and gaps.min(axis=1).max() <= 1e-12
+    # T and Z are rsf2csf's, bit for bit, on random matrices, on one with
+    # real eigenvalues only (no 2 x 2 block), on 2 x 2 rotations (only
+    # blocks) and on kerr_cat's traceless generator block
+    symmetric = rng.standard_normal((9, 9))
+    rotations = scipy.linalg.block_diag(*(
+        radius * np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+        for radius, phi in zip(rng.uniform(0.5, 2.0, 5), rng.uniform(0.1, 3.0, 5))))
+    kerr_cat = _coherence_generator(liouvillian(kerr_cat_model(KerrCatParams(n_cut=4))),
+                                    DEFAULT_TOL)[1:, 1:]
+    cases = [rng.standard_normal((n, n)) for n in range(1, 41)]
+    cases += [symmetric + symmetric.T, rotations, kerr_cat]
+    blocks = []
+    for a in cases:
+        r, q = scipy.linalg.schur(a, output="real")
+        blocks.append(np.count_nonzero(np.diagonal(r, -1)))
+        t_ref, z_ref = scipy.linalg.rsf2csf(r, q)
+        t, z = numkit._complex_schur(r, q)
+        assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
+        factor = numkit.SchurFactor(a)
+        assert np.array_equal(np.triu(factor._triangle), -np.triu(t_ref))
+        assert np.array_equal(factor._z, z_ref)
+        assert np.array_equal(factor.eigenvalues, np.diagonal(t_ref))
+    assert blocks[-3:-1] == [0, 5] and blocks[-1] > 0
+
+
+def test_complex_schur_needs_a_real_schur_form():
+    r = np.triu(np.ones((4, 4)))
+    r[1, 0] = r[2, 1] = 0.5
+    with pytest.raises(NumericalError, match="not a real Schur form"):
+        numkit._complex_schur(r, np.eye(4))
 
 
 def test_schur_factor_shifted_solve():
